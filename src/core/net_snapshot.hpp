@@ -1,21 +1,22 @@
 #pragma once
 /// \file net_snapshot.hpp
-/// Reduced-precision serving snapshot of a trained TwoBranchNet.
+/// Serving snapshots of a trained TwoBranchNet — the only model form the
+/// serve engines run.
 ///
-/// The paper's pitch is a model cheap enough for embedded BMS silicon;
-/// like related PINN estimators we keep training in f64 and deploy
-/// inference in f32: TwoBranchSnapshotT captures both branches' weights
-/// and scaler moments ONCE (at load), converted to the target scalar, and
-/// serves them through the feature-major panel kernels — the same seam
-/// RolloutEngine / FleetEngine already feed, so the engines' gather /
-/// scatter loops don't change shape. The source f64 net is never written
-/// and keeps serving the default path bitwise unchanged; the f32 path
-/// tracks it within ~1e-5 SoC on the paper's traces (far below the ~1-2%
-/// RMSE signal), at roughly twice the panel throughput.
+/// TwoBranchSnapshotT<T> captures both branches' weights and scaler
+/// moments ONCE (at load), converted to T, and serves them through the
+/// feature-major panel kernels. Instantiated at double it reproduces the
+/// net's own forwards bitwise (tests/serve/test_precision.cpp); at float
+/// — the paper's embedded-BMS pitch: train in f64, deploy inference in
+/// f32 — it tracks f64 within ~1e-5 SoC on the paper's traces (far below
+/// the ~1-2% RMSE signal) at roughly twice the panel throughput. The
+/// source net is never written, so it may keep training.
 
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "core/two_branch_net.hpp"
 #include "nn/panel.hpp"
@@ -23,9 +24,8 @@
 
 namespace socpinn::core {
 
-/// Scalar type of the serve-side forward. kFloat64 routes through the
-/// original nn::Matrix path (bitwise unchanged); kFloat32 routes through a
-/// TwoBranchSnapshotT<float> built once per engine.
+/// Scalar type T of the TwoBranchSnapshotT<T> a serve engine runs:
+/// kFloat64 serves the bitwise-exact f64 snapshot, kFloat32 its f32 twin.
 enum class Precision {
   kFloat64,
   kFloat32,
@@ -42,8 +42,7 @@ struct InferenceWorkspaceT {
 };
 
 /// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
-/// only: the serve engines stage panels anyway, and at reduced precision
-/// there is no bitwise row-major contract to preserve.
+/// only: the serve engines stage every batch as a panel.
 template <typename T>
 class TwoBranchSnapshotT {
  public:
@@ -87,58 +86,63 @@ extern template class TwoBranchSnapshotT<double>;
 
 using TwoBranchSnapshotF32 = TwoBranchSnapshotT<float>;
 
-/// Single source of truth for the f32 backend's precondition: the
-/// reduced-precision snapshot converts scaler moments at construction, so
-/// the net must be trained (fitted scalers) by then. Throws
-/// std::invalid_argument with `knob` naming the configuration knob the
-/// caller should look at — the engines pass their own config field so the
-/// error reads as "FleetConfig::precision ..." at engine construction.
-inline void require_trained_for_f32(const TwoBranchNet& net,
-                                    const char* knob) {
+/// The one trained-net precondition of serving: a TwoBranchSnapshotT
+/// converts the scaler moments at construction, and the multi-process
+/// transport serializes them, so the net must have fitted scalers at
+/// either precision. Throws std::invalid_argument naming `who`, so the
+/// engines fail on the caller's thread at construction, not mid-tick.
+inline void require_trained(const TwoBranchNet& net, const std::string& who) {
   if (!net.scaler1().fitted() || !net.scaler2().fitted()) {
     throw std::invalid_argument(
-        std::string(knob) +
-        " = Precision::kFloat32 requires a trained net (fitted scalers); "
+        who +
+        " requires a trained net (fitted scalers) at either precision; "
         "fit or load a trained model first");
   }
 }
 
-/// Immutable serving model: the unit of RCU-style hot-swap. One snapshot
-/// owns everything a tick needs — a deep f64 copy of the trained net (the
-/// default serve path, bitwise identical to serving the source net
-/// directly) and, under Precision::kFloat32, the f32 twin converted once
-/// at construction. The serve engines hold snapshots behind an atomic
-/// std::shared_ptr: swap_model() builds a new snapshot off the hot path
-/// and publishes it between ticks, in-flight shards finish on the old one
-/// (kept alive by the tick's reference), and the caller's net can be
-/// retrained or freed the moment the constructor returns.
+/// Immutable serving model: the unit of RCU-style hot-swap. Holds exactly
+/// one TwoBranchSnapshotT — double or float, as chosen at construction —
+/// and owns everything a tick needs. The serve engines hold snapshots
+/// behind a SnapshotHandle: swap_model() builds a new snapshot off the
+/// hot path and publishes it between ticks, in-flight shards finish on
+/// the old one (kept alive by the tick's reference), and the caller's net
+/// can be retrained or freed the moment the constructor returns.
 class TwoBranchSnapshot {
  public:
-  /// Deep-copies `net` (and converts the f32 twin when `precision` is
-  /// kFloat32 — which requires a trained net with fitted scalers; throws
-  /// std::invalid_argument naming the requirement otherwise). All the
-  /// conversion cost lands here, never on the tick path.
+  /// Converts `net` once at `precision` (requires a trained net — throws
+  /// std::invalid_argument otherwise). All the conversion cost lands
+  /// here, never on the tick path.
   TwoBranchSnapshot(const TwoBranchNet& net, Precision precision)
-      : precision_(precision), net_(net) {
-    if (precision_ == Precision::kFloat32) {
-      require_trained_for_f32(net, "TwoBranchSnapshot: precision");
-      f32_ = std::make_unique<const TwoBranchSnapshotF32>(net);
-    }
+      : snapshot_(convert(net, precision)) {}
+
+  [[nodiscard]] Precision precision() const {
+    return std::holds_alternative<TwoBranchSnapshotT<float>>(snapshot_)
+               ? Precision::kFloat32
+               : Precision::kFloat64;
   }
 
-  [[nodiscard]] Precision precision() const { return precision_; }
-
-  /// The f64 model (always present). Const inference with caller-owned
-  /// workspaces is thread-safe; the copy is never mutated.
-  [[nodiscard]] const TwoBranchNet& net() const { return net_; }
-
-  /// The f32 twin; only valid when precision() == kFloat32.
-  [[nodiscard]] const TwoBranchSnapshotF32& f32() const { return *f32_; }
+  /// Calls f(snapshot) with the held TwoBranchSnapshotT<double> or
+  /// TwoBranchSnapshotT<float> — the serve engines' one precision branch
+  /// per tick or run. Const inference with caller-owned workspaces is
+  /// thread-safe; the snapshot is never mutated.
+  template <typename F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), snapshot_);
+  }
 
  private:
-  Precision precision_;
-  TwoBranchNet net_;
-  std::unique_ptr<const TwoBranchSnapshotF32> f32_;
+  using Held =
+      std::variant<TwoBranchSnapshotT<double>, TwoBranchSnapshotT<float>>;
+
+  static Held convert(const TwoBranchNet& net, Precision precision) {
+    require_trained(net, "TwoBranchSnapshot");
+    if (precision == Precision::kFloat32) {
+      return Held(std::in_place_type<TwoBranchSnapshotT<float>>, net);
+    }
+    return Held(std::in_place_type<TwoBranchSnapshotT<double>>, net);
+  }
+
+  Held snapshot_;
 };
 
 /// Atomically swappable owner of the current serving snapshot — the RCU

@@ -2,15 +2,14 @@
 /// \file panel.hpp
 /// Scalar-templated carriers for the serve-side inference path.
 ///
-/// Training and the default serving path stay on nn::Matrix (double);
-/// these types exist so the feature-major panel seam — the per-step hot
-/// path of RolloutEngine / FleetEngine — can also run at float, where the
-/// same register tiles pack twice the SIMD lanes. The float weights and
-/// scaler stats are converted ONCE from a trained f64 model (MlpSnapshotT /
-/// ScalerStatsT), so the f64 network is never touched by the reduced-
-/// precision backend. Instantiated at double, every type here reproduces
-/// the nn::Matrix path bitwise (tests/nn/test_panel.cpp), which pins the
-/// template to the reference arithmetic.
+/// Training stays on nn::Matrix (double); these types carry the
+/// feature-major panel seam that RolloutEngine / FleetEngine serve through
+/// at either precision — at float the same register tiles pack twice the
+/// SIMD lanes. Weights and scaler stats are converted ONCE from a trained
+/// f64 model (MlpSnapshotT / ScalerStatsT), so the training network is
+/// never touched by serving. Instantiated at double, every type here
+/// reproduces the nn::Matrix path bitwise (tests/nn/test_panel.cpp), which
+/// pins the template to the reference arithmetic.
 
 #include <cstddef>
 #include <span>

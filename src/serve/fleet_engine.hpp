@@ -41,18 +41,25 @@
 ///     synchronous reseed and the RolloutEngine re-anchor plans).
 ///   * The model is held as an atomically swappable shared_ptr to an
 ///     immutable core::TwoBranchSnapshot (RCU-style). swap_model()
-///     converts/copies once off the hot path and publishes between ticks:
+///     converts once off the hot path and publishes between ticks:
 ///     every tick acquires the pointer exactly once at its top, so all
 ///     shards of a tick serve the same model, in-flight ticks finish on
 ///     the snapshot they started with (kept alive by that reference), and
-///     no tick is ever dropped or torn. The engine copies the net at
+///     no tick is ever dropped or torn. The engine converts the net at
 ///     construction, so the caller's net may be retrained or freed
 ///     immediately.
+///
+/// Every batched forward runs the snapshot's TwoBranchSnapshotT<T> over
+/// one feature-major panel layout (batch as the unit-stride axis), padded
+/// with zero columns up to the 32-column tile (nn::kColumnsMinBatch) on
+/// thin shards and re-anchor batches. Per-column results are independent
+/// of the batch width, so padding changes nothing but speed.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/cell_params.hpp"
@@ -84,13 +91,12 @@ struct FleetConfig {
   /// RolloutConfig::clamp_soc — every seeding/serving path clamps unless
   /// explicitly disabled.
   bool clamp_soc = true;
-  /// Scalar type of the batched forwards. kFloat64 (default) is the
-  /// original path, bitwise unchanged; kFloat32 serves an f32 snapshot of
-  /// the net (converted once per snapshot, at construction or swap_model)
-  /// through feature-major panels at every shard size — ~2x SIMD width per
-  /// tick, SoC within ~1e-5 of f64 per tick. Requires a trained net
-  /// (fitted scalers); constructing with an untrained net throws
-  /// std::invalid_argument naming this knob.
+  /// Scalar type of the served TwoBranchSnapshotT (converted once per
+  /// snapshot, at construction or swap_model). kFloat64 (default) is
+  /// bitwise identical to the net's own scalar forwards; kFloat32 gives
+  /// ~2x SIMD width per tick, SoC within ~1e-5 of f64 per tick. Either
+  /// precision requires a trained net (fitted scalers); constructing with
+  /// an untrained net throws std::invalid_argument naming this knob.
   core::Precision precision = core::Precision::kFloat64;
   /// External mailbox slot storage, or nullptr (default) to let the
   /// engine allocate its own. The multi-process transport points this at
@@ -112,10 +118,10 @@ struct FleetConfig {
 
 class FleetEngine {
  public:
-  /// Snapshots `net` once (deep copy; under kFloat32 also the converted
-  /// f32 twin) — the caller's net does NOT need to outlive the engine and
-  /// may keep training. Arguments are validated before any worker thread
-  /// spawns or state allocates.
+  /// Converts `net` once into a snapshot at FleetConfig::precision — the
+  /// caller's net does NOT need to outlive the engine and may keep
+  /// training. Arguments (including the trained-net precondition) are
+  /// validated before any worker thread spawns or state allocates.
   FleetEngine(const core::TwoBranchNet& net, std::size_t num_cells,
               FleetConfig config = {});
 
@@ -169,10 +175,9 @@ class FleetEngine {
   void run(const data::WorkloadSchedule& schedule);
 
   /// RCU-style model hot-swap: snapshots `net` on the calling thread (the
-  /// expensive part — deep copy, f32 conversion under kFloat32) and
-  /// atomically publishes it. Ticks already in flight finish on the old
-  /// snapshot; the next tick serves the new one. Safe to call from any
-  /// thread, concurrently with ticks.
+  /// expensive part — the conversion) and atomically publishes it. Ticks
+  /// already in flight finish on the old snapshot; the next tick serves
+  /// the new one. Safe to call from any thread, concurrently with ticks.
   void swap_model(const core::TwoBranchNet& net);
 
   /// Hot-swap to a pre-built snapshot (shareable across engines, so a
@@ -271,38 +276,54 @@ class FleetEngine {
   [[nodiscard]] const char* simd_isa() const;
 
  private:
-  /// Per-shard scratch: workspace plus the staged raw input rows. The f32
-  /// members are touched only under Precision::kFloat32.
+  /// Per-shard scratch at the served scalar type T: workspace plus the
+  /// staged feature-major input panels, each padded to the panel tile.
+  template <typename T>
   struct ShardScratch {
-    core::InferenceWorkspace ws;
-    nn::Matrix input;
-    core::InferenceWorkspaceT<float> ws_f32;
-    nn::MatrixT<float> input_f32;  ///< staged feature-major f32 panel
+    core::InferenceWorkspaceT<T> ws;
+    nn::MatrixT<T> input;  ///< staged Branch-2 panel, 4 x padded count
     // Mailbox-drain staging, separate from `input` so a re-seed never
     // clobbers the persisted run() workload rows.
     std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
     std::vector<SensorReport> reports;  ///< their drained payloads
-    nn::Matrix sensor_input;            ///< staged Branch-1 re-seed batch
-    nn::MatrixT<float> sensor_input_f32;
+    nn::MatrixT<T> sensor_input;        ///< staged Branch-1 re-seed panel
   };
+  /// One ShardScratch per pool thread, at the engine's precision.
+  template <typename T>
+  using Scratch = std::vector<ShardScratch<T>>;
+  using ScratchSet = std::variant<Scratch<double>, Scratch<float>>;
 
-  /// Throws on invalid arguments (empty fleet; kFloat32 with an untrained
-  /// net). Runs in the first member's initializer, before the thread pool
-  /// spawns workers or any state allocates.
+  /// Throws on invalid arguments (empty fleet; an untrained net). Runs in
+  /// the first member's initializer, before the thread pool spawns
+  /// workers or any state allocates.
   static FleetConfig validated(const core::TwoBranchNet& net,
                                std::size_t num_cells, FleetConfig config);
 
-  /// One tick against per-shard staged Branch-2 inputs. When `row3` is
-  /// non-null its [avg I, avg T, N] values are staged into the workload
-  /// slots first; nullptr reuses the values staged by the previous call
-  /// (the run() fast path — only the SoC slot is rewritten).
-  void tick_shared(const double* row3) SOCPINN_REQUIRES(tick_serial_);
+  /// Calls body(snapshot, scratch) with the published model's
+  /// TwoBranchSnapshotT<T> and the ShardScratch<T> set of the same T —
+  /// the one precision branch of every tick-path entry point.
+  template <typename Body>
+  void dispatch(const core::TwoBranchSnapshot& model, Body&& body) {
+    model.visit([&]<typename T>(const core::TwoBranchSnapshotT<T>& snap) {
+      body(snap, std::get<Scratch<T>>(scratch_));
+    });
+  }
+
+  /// One tick against per-shard staged Branch-2 inputs: the single body
+  /// behind step() and run(). The workload rows come from `workload_raw`
+  /// row `cell` (step()) or the shared `row3` [avg I, avg T, N] for every
+  /// cell; with both null, the rows staged by the previous call are reused
+  /// (the run() fast path — only the SoC row is rewritten).
+  void run_tick(const nn::Matrix* workload_raw, const double* row3)
+      SOCPINN_REQUIRES(tick_serial_);
 
   /// Drains this shard's cell range of the mailbox: consumes workload
   /// overrides into the per-cell override table, then re-seeds every cell
   /// with a pending sensor report via one batched Branch-1 estimate.
   /// Allocation-free once the drain staging is warm.
-  void drain_shard(ShardScratch& scratch, const core::TwoBranchSnapshot& model,
+  template <typename T>
+  void drain_shard(ShardScratch<T>& scratch,
+                   const core::TwoBranchSnapshotT<T>& model,
                    std::size_t begin, std::size_t end)
       SOCPINN_REQUIRES(shard_exec_);
 
@@ -310,39 +331,39 @@ class FleetEngine {
   /// writes the clamped results to soc_[scratch.pending[i]]. The single
   /// body behind init_from_sensors, reseed_from_sensors, and the mailbox
   /// drain — the documented bitwise equivalence of those three paths IS
-  /// this sharing (plus per-row independence of the batched estimate).
-  void reanchor_batch(ShardScratch& scratch,
-                      const core::TwoBranchSnapshot& model)
+  /// this sharing (plus per-column independence of the batched estimate).
+  template <typename T>
+  void reanchor_batch(ShardScratch<T>& scratch,
+                      const core::TwoBranchSnapshotT<T>& model)
       SOCPINN_REQUIRES(shard_exec_);
 
   /// Rewrites the staged workload slots of every override-active cell in
   /// [begin, begin+count) — after any staging, before the forward, every
   /// tick, so overrides survive both restaging and the run() fast path.
-  void apply_overrides(ShardScratch& scratch, bool f32, bool columns,
-                       std::size_t begin, std::size_t count)
-      SOCPINN_REQUIRES(shard_exec_);
+  template <typename T>
+  void apply_overrides(ShardScratch<T>& scratch, std::size_t begin,
+                       std::size_t count) SOCPINN_REQUIRES(shard_exec_);
 
   /// Advances every CellMode::kPhysicsOnly cell of [begin, end) with
   /// Eq. 1 from its own params — after the shard's NN forward (whose
   /// write-back skips physics cells, so the prior SoC is still intact
   /// here). The workload comes from the cell's active override when set,
   /// else from `workload_raw` row `cell` (step()) or the shared `row3`
-  /// (tick_shared()) — always the raw f64 source, never the staged f32
-  /// panel, so physics advances in full precision under both engine
-  /// precisions (matching RolloutEngine's physics lanes).
+  /// (run()) — always the raw f64 source, never the staged panel, so
+  /// physics advances in full precision under both engine precisions
+  /// (matching RolloutEngine's physics lanes).
   void advance_physics(std::size_t begin, std::size_t end,
                        const nn::Matrix* workload_raw, const double* row3)
       SOCPINN_REQUIRES(shard_exec_);
 
-  /// Shared per-shard forward + clamped write-back used by step() and
-  /// tick_shared(). At f64, `scratch.input` must hold the shard's staged
-  /// raw Branch-2 inputs: feature-major (4 x count) for shards at or above
-  /// the panel threshold, row-major (count x 4) below it — the same
-  /// dispatch both stagers apply. At f32, `scratch.input_f32` holds a
-  /// feature-major 4 x count panel at every shard size.
-  void forward_shard(ShardScratch& scratch,
-                     const core::TwoBranchSnapshot& model, std::size_t begin,
-                     std::size_t count) SOCPINN_REQUIRES(shard_exec_);
+  /// Per-shard forward + clamped write-back of run_tick():
+  /// `scratch.input` holds the shard's staged feature-major Branch-2
+  /// panel (4 x count, zero-padded to the panel tile).
+  template <typename T>
+  void forward_shard(ShardScratch<T>& scratch,
+                     const core::TwoBranchSnapshotT<T>& model,
+                     std::size_t begin, std::size_t count)
+      SOCPINN_REQUIRES(shard_exec_);
 
   /// Owning mailbox or a view over FleetConfig::external_mailbox_slots,
   /// depending on the config.
@@ -351,7 +372,7 @@ class FleetEngine {
 
   /// Phantom capabilities (zero runtime state — see util::ThreadRole).
   /// tick_serial_ is the single-caller tick surface: every tick-path
-  /// mutation enters it with a RoleGuard, and tick_shared REQUIRES it,
+  /// mutation enters it with a RoleGuard, and run_tick() REQUIRES it,
   /// so a new entry point that reaches the tick machinery without
   /// stating the "no concurrent ticks" contract fails the clang
   /// -Wthread-safety build. shard_exec_ is the shard-execution surface:
@@ -368,7 +389,7 @@ class FleetEngine {
   /// last in-flight tick drops its reference.
   core::SnapshotHandle model_;
   ThreadPool pool_;
-  std::vector<ShardScratch> scratch_;  ///< one per pool thread
+  ScratchSet scratch_;
   std::vector<double> soc_;
   Mailbox mailbox_;
   /// Sticky per-cell workload overrides consumed from the mailbox. Each
@@ -391,8 +412,8 @@ class FleetEngine {
   std::atomic<std::uint64_t> dropped_workload_overrides_{0};
   std::atomic<std::uint64_t> dropped_param_updates_{0};
   /// The persisted shared workload row of the run() fast path — the f64
-  /// source advance_physics reads when tick_shared reuses staged rows
-  /// (the f32 staged panel would lose bits).
+  /// source advance_physics reads when run_tick() reuses staged rows
+  /// (an f32 staged panel would lose bits).
   double shared_row_[3] = {0.0, 0.0, 0.0};
   std::uint64_t ticks_ = 0;
 };

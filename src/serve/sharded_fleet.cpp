@@ -30,17 +30,11 @@ void nap() {
   ::nanosleep(&ts, nullptr);
 }
 
-/// The transport ships the model as core::save_model text, which needs a
-/// trained net (fitted scalers) regardless of precision — checked here so
-/// the error names the actual requirement instead of save_model's generic
-/// one.
+/// The transport ships the model as core::save_model text; the serving
+/// precondition is checked first so the error names it instead of
+/// save_model's generic one.
 std::string serialize_model(const core::TwoBranchNet& net, const char* who) {
-  if (!net.scaler1().fitted() || !net.scaler2().fitted()) {
-    throw std::invalid_argument(
-        std::string(who) +
-        ": the multi-process transport serializes the model, which requires "
-        "a trained net (fitted scalers)");
-  }
+  core::require_trained(net, who);
   std::ostringstream out;
   core::save_model(out, net);
   return out.str();
@@ -166,8 +160,10 @@ void ShardedFleet::wait_ack(Worker& w) {
   const std::atomic_ref<std::uint64_t> ack(w.header->ack_seq);
   std::size_t beats = 0;
   while (ack.load(std::memory_order_acquire) != w.seq) {
-    if (++beats % 64 == 0 &&
-        ::waitpid(w.pid, nullptr, WNOHANG) == w.pid) {
+    // Once reaped, a dead worker is never waited for again, and waitpid
+    // on it returns -1 instead of its pid: both are the same diagnosis.
+    if (w.reaped ||
+        (++beats % 64 == 0 && ::waitpid(w.pid, nullptr, WNOHANG) != 0)) {
       w.reaped = true;
       throw std::runtime_error("ShardedFleet: worker " +
                                std::to_string(w.shard.index) +

@@ -27,7 +27,9 @@
 ///     scratch.input.resize(4, count);
 ///
 /// The construct name must match and the reason must be non-empty; a
-/// bare waiver is a lint error. Annotate definitions (the linter scans
+/// bare waiver is a lint error, and so is a stale one — outside any
+/// SOCPINN_HOT body, or naming a construct the covered line no longer
+/// holds. Annotate definitions (the linter scans
 /// the body after the marker); declarations may carry it too but are
 /// skipped. Keep the marker FIRST on the declaration line, next to any
 /// other attributes.

@@ -65,28 +65,47 @@ TEST(FleetEngine, SimdIsaReportsTheProcessWideDispatch) {
 }
 
 TEST(FleetEngine, MatchesScalarCascadePerCell) {
+  // Bitwise against the scalar per-cell walk at every shard shape: thin
+  // shards of 1-31 cells, the 32-column panel tile, and shards just past
+  // it. Covers connect-time seeding, step(), a single-cell synchronous
+  // re-anchor, and one run() tick.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
-  const std::size_t cells = 97;
-  util::Rng rng(101);
-  const nn::Matrix sensors = random_sensors(cells, rng);
-  const nn::Matrix workload = random_workload(cells, rng);
-
-  FleetConfig config;
-  config.threads = 3;
-  FleetEngine engine(net, cells, config);
-  engine.init_from_sensors(sensors);
-  engine.step(workload);
-  engine.step(workload);
-
+  const double shared[3] = {-2.0, 25.0, 60.0};
   core::InferenceWorkspace ws;
-  for (std::size_t i = 0; i < cells; ++i) {
-    double soc = util::clamp01(
-        net.estimate_soc(sensors(i, 0), sensors(i, 1), sensors(i, 2), ws));
-    for (int tick = 0; tick < 2; ++tick) {
-      soc = util::clamp01(net.predict_soc(soc, workload(i, 0), workload(i, 1),
-                                          workload(i, 2), ws));
+  for (const std::size_t cells : {1, 7, 31, 32, 33, 97}) {
+    for (const std::size_t threads : {1, 3}) {
+      util::Rng rng(101 + cells);
+      const nn::Matrix sensors = random_sensors(cells, rng);
+      const nn::Matrix workload = random_workload(cells, rng);
+      const nn::Matrix fresh = random_sensors(1, rng);
+      const std::size_t reseeded[] = {cells / 2};
+
+      FleetEngine engine(net, cells, {.threads = threads});
+      engine.init_from_sensors(sensors);
+      engine.step(workload);
+      engine.reseed_from_sensors(reseeded, fresh);
+      engine.step(workload);
+      engine.run(shared[0], shared[1], shared[2], 1);
+
+      for (std::size_t i = 0; i < cells; ++i) {
+        double soc = util::clamp01(net.estimate_soc(
+            sensors(i, 0), sensors(i, 1), sensors(i, 2), ws));
+        soc = util::clamp01(net.predict_soc(soc, workload(i, 0),
+                                            workload(i, 1), workload(i, 2),
+                                            ws));
+        if (i == reseeded[0]) {
+          soc = util::clamp01(
+              net.estimate_soc(fresh(0, 0), fresh(0, 1), fresh(0, 2), ws));
+        }
+        soc = util::clamp01(net.predict_soc(soc, workload(i, 0),
+                                            workload(i, 1), workload(i, 2),
+                                            ws));
+        soc = util::clamp01(
+            net.predict_soc(soc, shared[0], shared[1], shared[2], ws));
+        EXPECT_EQ(engine.soc()[i], soc)
+            << "cells " << cells << " threads " << threads << " cell " << i;
+      }
     }
-    EXPECT_DOUBLE_EQ(engine.soc()[i], soc) << "cell " << i;
   }
 }
 

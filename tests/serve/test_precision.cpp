@@ -87,10 +87,10 @@ TEST(SnapshotParity, RequiresFittedScalers) {
                std::logic_error);
   EXPECT_THROW(core::TwoBranchSnapshot(unfitted, core::Precision::kFloat32),
                std::invalid_argument);
-  // f64 snapshots of an untrained net are fine (nothing to convert);
-  // inference will still demand fitted scalers, but construction is lazy.
-  EXPECT_NO_THROW(core::TwoBranchSnapshot(unfitted,
-                                          core::Precision::kFloat64));
+  // The f64 snapshot converts the scaler moments too, so it demands a
+  // trained net at construction exactly like the f32 one.
+  EXPECT_THROW(core::TwoBranchSnapshot(unfitted, core::Precision::kFloat64),
+               std::invalid_argument);
 }
 
 TEST(SnapshotParity, UntrainedF32EngineFailsAtConstructionNamingTheKnob) {
@@ -122,9 +122,10 @@ TEST(SnapshotParity, UntrainedF32EngineFailsAtConstructionNamingTheKnob) {
         << "message does not name the knob: " << e.what();
   }
 
-  // The f64 default keeps accepting untrained nets (construction does not
-  // run inference), so training-loop tooling can build engines eagerly.
-  EXPECT_NO_THROW(FleetEngine(unfitted, 4, FleetConfig{.threads = 1}));
+  // The f64 default holds the same precondition, at construction on the
+  // caller's thread rather than from the first tick.
+  EXPECT_THROW(FleetEngine(unfitted, 4, FleetConfig{.threads = 1}),
+               std::invalid_argument);
 }
 
 TEST(RolloutPrecision, F32TracksF64OnLgTestTraces) {

@@ -12,10 +12,15 @@
 #include "serve/sharded_fleet.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "serve/fleet_engine.hpp"
@@ -336,6 +341,47 @@ TEST(ShardedFleet, MidRunHotSwapAdoptsAtTheNextCommandBitwise) {
     fleet.run(-1.5, 22.0, 45.0, 2);
     expect_bitwise_equal(fleet.soc(), reference.soc(), "post-swap run");
   }
+}
+
+/// Live child processes of the calling thread — the workers a ShardedFleet
+/// constructed on this thread forked (the fleet exposes no pids).
+std::vector<pid_t> child_pids() {
+  std::ifstream in("/proc/self/task/" + std::to_string(::gettid()) +
+                   "/children");
+  std::vector<pid_t> pids;
+  for (pid_t pid = 0; in >> pid;) pids.push_back(pid);
+  return pids;
+}
+
+TEST(ShardedFleet, KilledWorkerFailsEveryLaterCommandInsteadOfHanging) {
+  SOCPINN_SKIP_IF_NO_FORK();
+  // Watchdog: a regression naps forever in the ack wait, and SIGALRM's
+  // default action then kills the test process — a failure, not a hang.
+  // Disarmed on every exit path, failed ASSERTs included.
+  struct Watchdog {
+    Watchdog() { ::alarm(60); }
+    ~Watchdog() { ::alarm(0); }
+  } const watchdog;
+  const core::TwoBranchNet net = testing::make_fitted_net(21);
+  const std::size_t cells = 16;
+  util::Rng rng(7);
+  const nn::Matrix workload = testing::random_workload(cells, rng);
+  ShardedFleetConfig config;
+  config.workers = 2;
+  ShardedFleet fleet(net, cells, config);
+  fleet.init_from_sensors(testing::random_sensors(cells, rng));
+  const std::vector<pid_t> workers = child_pids();
+  ASSERT_EQ(workers.size(), 2u);
+  ASSERT_EQ(::kill(workers.back(), SIGKILL), 0);
+  // Wait for the death without reaping it: the fleet's own waitpid must
+  // find the dead worker.
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(workers.back()), &info,
+                     WEXITED | WNOWAIT),
+            0);
+  EXPECT_THROW(fleet.step(workload), std::runtime_error);
+  // The worker is reaped by now; the next command must diagnose it too.
+  EXPECT_THROW(fleet.step(workload), std::runtime_error);
 }
 
 TEST(ShardedFleet, ValidatesArgumentsBeforeAnyWorkerSeesThem) {

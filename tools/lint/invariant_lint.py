@@ -37,6 +37,13 @@ Checks (names usable in waiver comments and reports):
                      // SOCPINN_HOT_ALLOW(resize): reuses warm capacity
                  The construct name must match and the reason must be
                  non-empty; the waiver holds for the same or next line.
+  stale-waiver   every SOCPINN_HOT_ALLOW waiver must still be needed: it
+                 sits inside a SOCPINN_HOT body, and each construct it
+                 names appears on the line it covers (its own line when
+                 that line holds code, else the first line below its
+                 comment block). A waiver left behind by deleted or
+                 moved code would otherwise silently cover whatever
+                 lands there next.
   fp-contract    no std::fma / fmaf / fmal and no FP_CONTRACT-style
                  pragmas outside nn/simd.hpp.
   seqlock-discipline
@@ -291,6 +298,13 @@ BANNED = [
 ]
 
 
+def comment_only_lines(masked_lines: list[str],
+                       comments: dict[int, str]) -> set[int]:
+    """Lines holding a comment and no code."""
+    return {ln for ln in comments
+            if ln <= len(masked_lines) and not masked_lines[ln - 1].strip()}
+
+
 def waived(construct: str, lineno: int, comments: dict[int, str],
            comment_only: set[int]) -> bool:
     """A construct on `lineno` is waived by SOCPINN_HOT_ALLOW(name): reason
@@ -336,21 +350,63 @@ def hot_body_span(masked: str, mark_end: int):
     return None
 
 
-def check_hot_alloc(rel: str, text: str, masked: str,
-                    comments: dict[int, str]) -> list[tuple]:
-    findings = []
-    masked_lines = masked.splitlines()
-    comment_only = {
-        ln for ln in comments
-        if ln <= len(masked_lines) and not masked_lines[ln - 1].strip()}
+def hot_bodies(masked: str) -> list[tuple]:
+    """(body_start, body_end) of every SOCPINN_HOT function definition."""
+    spans = []
     for mark in HOT_MARK.finditer(masked):
         line_start = masked.rfind("\n", 0, mark.start()) + 1
         if masked[line_start:mark.start()].lstrip().startswith("#"):
             continue  # the #define itself
         span = hot_body_span(masked, mark.end())
-        if span is None:
-            continue
-        body_start, body_end = span
+        if span is not None:
+            spans.append(span)
+    return spans
+
+
+def check_stale_waivers(rel: str, text: str, masked: str,
+                        comments: dict[int, str]) -> list[tuple]:
+    findings = []
+    masked_lines = masked.splitlines()
+    comment_only = comment_only_lines(masked_lines, comments)
+    hot_lines = [(line_of(masked, a), line_of(masked, b))
+                 for a, b in hot_bodies(masked)]
+    patterns = dict(BANNED)
+    for lineno in sorted(comments):
+        if comments[lineno].lstrip().startswith("///"):
+            continue  # documentation quoting the waiver syntax
+        for m in HOT_ALLOW.finditer(comments[lineno]):
+            if not m.group(2).strip():
+                continue  # a bare waiver waives nothing (hot-alloc says so)
+            if not any(a <= lineno <= b for a, b in hot_lines):
+                findings.append((
+                    rel, lineno, "stale-waiver",
+                    "SOCPINN_HOT_ALLOW waiver outside any SOCPINN_HOT "
+                    "function — it waives nothing; delete it"))
+                continue
+            covered = lineno
+            while covered in comment_only:
+                covered += 1
+            code = (masked_lines[covered - 1]
+                    if covered <= len(masked_lines) else "")
+            for name in (a.strip() for a in m.group(1).split(",")):
+                pattern = patterns.get(name) or re.compile(
+                    r"(?:\.|->)\s*" + re.escape(name) + r"\s*\(")
+                if not pattern.search(code):
+                    findings.append((
+                        rel, lineno, "stale-waiver",
+                        f"SOCPINN_HOT_ALLOW({name}) covers line {covered}, "
+                        f"which has no '{name}' — a stale waiver would "
+                        f"silently cover whatever lands there next; delete "
+                        f"it or move it onto the construct it justifies"))
+    return findings
+
+
+def check_hot_alloc(rel: str, text: str, masked: str,
+                    comments: dict[int, str]) -> list[tuple]:
+    findings = []
+    masked_lines = masked.splitlines()
+    comment_only = comment_only_lines(masked_lines, comments)
+    for body_start, body_end in hot_bodies(masked):
         body = masked[body_start:body_end]
         for name, pattern in BANNED:
             for m in pattern.finditer(body):
@@ -465,9 +521,7 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
                              comments: dict[int, str]) -> list[tuple]:
     findings = []
     masked_lines = masked.splitlines()
-    comment_only = {
-        ln for ln in comments
-        if ln <= len(masked_lines) and not masked_lines[ln - 1].strip()}
+    comment_only = comment_only_lines(masked_lines, comments)
     spans = function_spans(masked)
 
     # (a) odd bump -> release fence -> matching even store, in order,
@@ -521,14 +575,7 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
     # (d) no blocking constructs inside SOCPINN_HOT bodies: hot code is
     # the wait-free side of every seqlock, so a mutex/cv/sleep there is a
     # protocol break, not a style issue. No waiver on purpose.
-    for mark in HOT_MARK.finditer(masked):
-        line_start = masked.rfind("\n", 0, mark.start()) + 1
-        if masked[line_start:mark.start()].lstrip().startswith("#"):
-            continue
-        span = hot_body_span(masked, mark.end())
-        if span is None:
-            continue
-        body_start, body_end = span
+    for body_start, body_end in hot_bodies(masked):
         body = masked[body_start:body_end]
         for name, pattern in BLOCKING:
             for b in pattern.finditer(body):
@@ -589,6 +636,7 @@ def lint_file(path: Path, root: Path) -> list[tuple]:
         findings += check_atomic_order(rel, text, masked)
         findings += check_seqlock_discipline(rel, text, masked, comments)
     findings += check_hot_alloc(rel, text, masked, comments)
+    findings += check_stale_waivers(rel, text, masked, comments)
     findings += check_fp_contract(rel, text, masked)
     return findings
 
@@ -621,7 +669,8 @@ def main(argv: list[str]) -> int:
               f"{len(files)} file(s)")
         return 1
     print(f"invariant_lint: clean ({len(files)} files, checks: "
-          f"atomic-order seqlock-discipline hot-alloc fp-contract)")
+          f"atomic-order seqlock-discipline hot-alloc stale-waiver "
+          f"fp-contract)")
     return 0
 
 

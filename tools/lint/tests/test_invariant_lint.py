@@ -40,7 +40,7 @@ import re
 def expected_lines(path: Path) -> list[int]:
     """1-based line numbers tagged `// EXPECT <check>` in a fixture."""
     tag = re.compile(r"//\s*EXPECT\s+(?:atomic-order|hot-alloc|fp-contract"
-                     r"|seqlock-discipline)")
+                     r"|seqlock-discipline|stale-waiver)")
     return [i for i, raw in enumerate(path.read_text().splitlines(), 1)
             if tag.search(raw)]
 
@@ -123,6 +123,27 @@ class TestHotAlloc(unittest.TestCase):
 
     def test_waived_and_cold_code_passes(self):
         clean = [f for f in run_dir(GOOD) if f[2] == "hot-alloc"]
+        self.assertEqual(clean, [])
+
+
+class TestStaleWaiver(unittest.TestCase):
+    FIXTURE = BAD / "serve" / "bad_stale_waiver.cpp"
+
+    def findings(self):
+        return [f for f in run_dir(BAD) if f[2] == "stale-waiver"]
+
+    def test_every_seeded_violation_is_flagged(self):
+        flagged = {f[1] for f in self.findings()
+                   if f[0].endswith("bad_stale_waiver.cpp")}
+        self.assertEqual(flagged, set(expected_lines(self.FIXTURE)))
+
+    def test_both_kinds_fire(self):
+        msgs = " ".join(f[3] for f in self.findings())
+        self.assertIn("outside any SOCPINN_HOT function", msgs)
+        self.assertIn("which has no 'resize'", msgs)
+
+    def test_placed_waivers_and_doc_comments_pass(self):
+        clean = [f for f in run_dir(GOOD) if f[2] == "stale-waiver"]
         self.assertEqual(clean, [])
 
 
