@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "battery/coulomb.hpp"
@@ -325,26 +326,49 @@ void emit_bench_json(const char* path, const int kReps) {
     }
   }
 
-  // --- explicit SIMD panel kernels: per-ISA speedup vs the scalar ---
-  // Raw simd::panel_kernels tables on the serve forward's layer shapes
-  // (a 4->16 then a 16->16 panel at batch 256 — the Branch-2 hidden stack)
-  // for every ISA this binary + host supports, against the scalar reference
-  // template. Results are identical across ISAs by construction (f64
-  // bitwise — tests/nn/test_simd_dispatch.cpp), so only throughput is
-  // compared. The simd_supported_* gates let check_bench_regression.py
-  // skip ISAs a runner cannot execute without weakening those it can.
+  // --- vector panel kernels: per-ISA speedup vs the scalar ---
+  // Raw simd::panel_kernels tables on the served Branch-2 dense chain
+  // (4->16->32->16->1 at batch 256, each layer reading the previous one's
+  // output panel) for every ISA this binary + host supports, against the
+  // scalar reference template. Results are identical across ISAs by
+  // construction (bitwise — tests/nn/test_simd_dispatch.cpp), so only
+  // throughput is compared. The simd_supported_* gates let
+  // check_bench_regression.py skip ISAs a runner cannot execute without
+  // weakening those it can.
   constexpr std::size_t kIsaBatch = 256;
-  constexpr std::size_t kMaxF = 16;
+  constexpr std::size_t kChain[] = {4, 16, 32, 16, 1};
+  constexpr std::size_t kChainLayers = std::size(kChain) - 1;
   util::Rng isa_rng(13);
-  nn::AlignedVector<double> ia64(kMaxF * kIsaBatch), iw64(kMaxF * kMaxF),
-      ib64(kMaxF), io64(kMaxF * kIsaBatch);
-  for (auto& v : ia64) v = isa_rng.uniform(-1.0, 1.0);
-  for (auto& v : iw64) v = isa_rng.uniform(-1.0, 1.0);
-  for (auto& v : ib64) v = isa_rng.uniform(-1.0, 1.0);
-  nn::AlignedVector<float> ia32(ia64.begin(), ia64.end()),
-      iw32(iw64.begin(), iw64.end()), ib32(ib64.begin(), ib64.end()),
-      io32(kMaxF * kIsaBatch);
-  const std::size_t layer_shapes[2][2] = {{4, 16}, {16, 16}};
+  // act[l] is layer l's input panel (kChain[l] x batch); act[kChainLayers]
+  // is the chain's output.
+  std::vector<nn::AlignedVector<double>> act64, w64, b64;
+  for (std::size_t l = 0; l <= kChainLayers; ++l) {
+    act64.emplace_back(kChain[l] * kIsaBatch);
+  }
+  for (std::size_t l = 0; l < kChainLayers; ++l) {
+    w64.emplace_back(kChain[l] * kChain[l + 1]);
+    b64.emplace_back(kChain[l + 1]);
+  }
+  for (auto* panels : {&act64, &w64, &b64}) {
+    for (auto& panel : *panels) {
+      for (auto& v : panel) v = isa_rng.uniform(-1.0, 1.0);
+    }
+  }
+  const auto to_f32 = [](const std::vector<nn::AlignedVector<double>>& src) {
+    std::vector<nn::AlignedVector<float>> dst;
+    for (const auto& panel : src) dst.emplace_back(panel.begin(), panel.end());
+    return dst;
+  };
+  std::vector<nn::AlignedVector<float>> act32 = to_f32(act64),
+                                        w32 = to_f32(w64), b32 = to_f32(b64);
+  const auto run_chain = [&](auto kernel, auto& act, const auto& w,
+                             const auto& b) {
+    for (std::size_t l = 0; l < kChainLayers; ++l) {
+      kernel(act[l].data(), w[l].data(), b[l].data(), act[l + 1].data(),
+             kChain[l], kChain[l + 1], kIsaBatch);
+    }
+    acc += static_cast<double>(act[kChainLayers][0]);
+  };
   const int isa_reps = kReps * 4;
   int isa_supported[nn::simd::kNumIsas] = {};
   double isa_spd[nn::simd::kNumIsas][2] = {};  // [isa][0 = f32, 1 = f64]
@@ -354,20 +378,8 @@ void emit_bench_json(const char* path, const int kReps) {
     if (!nn::simd::isa_supported(isa)) continue;
     isa_supported[i] = 1;
     const nn::simd::PanelKernels& k = nn::simd::panel_kernels(isa);
-    const auto run_f32 = [&] {
-      for (const auto& s : layer_shapes) {
-        k.f32(ia32.data(), iw32.data(), ib32.data(), io32.data(), s[0], s[1],
-              kIsaBatch);
-      }
-      acc += static_cast<double>(io32[0]);
-    };
-    const auto run_f64 = [&] {
-      for (const auto& s : layer_shapes) {
-        k.f64(ia64.data(), iw64.data(), ib64.data(), io64.data(), s[0], s[1],
-              kIsaBatch);
-      }
-      acc += io64[0];
-    };
+    const auto run_f32 = [&] { run_chain(k.f32, act32, w32, b32); };
+    const auto run_f64 = [&] { run_chain(k.f64, act64, w64, b64); };
     run_f32();
     run_f64();  // touch caches before timing
     const double f32_s = median5_seconds(isa_reps, run_f32);
@@ -455,8 +467,10 @@ void emit_bench_json(const char* path, const int kReps) {
       panel_ns[0][0], panel_ns[0][1], panel_ns[0][0] / panel_ns[0][1],
       panel_ns[1][0], panel_ns[1][1], panel_ns[1][0] / panel_ns[1][1],
       f32_max_abs_diff);
-  std::printf("--- explicit SIMD panel kernels (batch %zu, vs scalar) ---\n",
-              kIsaBatch);
+  std::printf(
+      "--- vector panel kernels (Branch-2 chain 4->16->32->16->1, batch %zu, "
+      "vs scalar) ---\n",
+      kIsaBatch);
   for (int i = 0; i < nn::simd::kNumIsas; ++i) {
     const auto isa = static_cast<nn::simd::Isa>(i);
     if (isa_supported[i]) {

@@ -33,23 +33,31 @@ inline std::size_t alloc_count() {
 }
 }  // namespace socpinn::benchsupport
 
-void* operator new(std::size_t size) {
+// The base operator new / new(align) / delete stay out of line: GCC 12
+// otherwise inlines one side of a new/delete pair and reports
+// -Wmismatched-new-delete for malloc'd memory reaching operator delete (or
+// a new-expression's pointer reaching std::free). Every other overload
+// forwards to them.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   socpinn::benchsupport::g_alloc_count.fetch_add(1,
                                                  std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 // Over-aligned overloads: nn::AlignedAllocator routes every panel and
 // workspace buffer through operator new(size, align_val_t), which must hit
 // the same counter or the steady-state allocation numbers would silently
 // exclude exactly the buffers the benches are about.
-void* operator new(std::size_t size, std::align_val_t align) {
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                              std::align_val_t align) {
   socpinn::benchsupport::g_alloc_count.fetch_add(1,
                                                  std::memory_order_relaxed);
   // aligned_alloc requires size to be a multiple of the alignment.
@@ -61,13 +69,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ::operator delete(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ::operator delete(p);
 }
 
 namespace socpinn::benchsupport {

@@ -8,7 +8,7 @@
 /// thus AVX-512-register — boundary: first-row loads and stores hit the
 /// aligned fast path, no panel straddles a line it doesn't have to, and
 /// the guarantee holds for the autovectorized scalar fallback as much as
-/// for the explicit SIMD kernels. std::vector's default allocator only
+/// for the vector kernels. std::vector's default allocator only
 /// guarantees alignof(std::max_align_t) (16 on common ABIs), so Matrix /
 /// MatrixT route their storage through this allocator instead.
 /// tests/nn/test_simd_dispatch.cpp asserts the contract on live buffers.

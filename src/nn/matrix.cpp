@@ -231,7 +231,7 @@ void dense_forward_columns(const Matrix& activations, const Matrix& weights,
   }
   out.resize(weights.cols(), activations.cols());
   // Runtime-ISA dispatch (nn/panel_dispatch.hpp): the resolved kernel —
-  // explicit AVX-512/AVX2/NEON or the scalar template — is bitwise
+  // the AVX-512/AVX2/NEON vector kernel or the scalar template — is bitwise
   // identical to the scalar reference at f64, so dispatch changes
   // throughput, never results.
   simd::dense_columns<double>(activations.data().data(),

@@ -6,36 +6,31 @@
 
 namespace socpinn::nn::detail {
 
-// Per-ISA kernel entry points. The scalar pair always exists
-// (panel_kernels_scalar.cpp); the others are compiled into the binary iff
-// the matching SOCPINN_ENABLE_* definition was set by CMake for this
-// architecture, and must only be CALLED after a runtime CPU check.
-void dense_columns_scalar_f32(const float*, const float*, const float*,
-                              float*, std::size_t, std::size_t, std::size_t);
-void dense_columns_scalar_f64(const double*, const double*, const double*,
-                              double*, std::size_t, std::size_t, std::size_t);
-#if defined(SOCPINN_ENABLE_AVX2)
-void dense_columns_avx2_f32(const float*, const float*, const float*, float*,
-                            std::size_t, std::size_t, std::size_t);
-void dense_columns_avx2_f64(const double*, const double*, const double*,
-                            double*, std::size_t, std::size_t, std::size_t);
-#endif
-#if defined(SOCPINN_ENABLE_AVX512)
-void dense_columns_avx512_f32(const float*, const float*, const float*,
-                              float*, std::size_t, std::size_t, std::size_t);
-void dense_columns_avx512_f64(const double*, const double*, const double*,
-                              double*, std::size_t, std::size_t, std::size_t);
-#endif
-#if defined(SOCPINN_ENABLE_NEON)
-void dense_columns_neon_f32(const float*, const float*, const float*, float*,
-                            std::size_t, std::size_t, std::size_t);
-void dense_columns_neon_f64(const double*, const double*, const double*,
-                            double*, std::size_t, std::size_t, std::size_t);
-#endif
+// Each ISA's kernel table, defined by its panel_kernels_<isa>.cpp (nullptr
+// when CMake does not compile that ISA for this target). All are
+// constant-initialized, so no ISA-flagged code runs before isa_supported's
+// CPU check.
+extern constinit const simd::PanelKernels* const kScalarPanelKernels;
+extern constinit const simd::PanelKernels* const kAvx2PanelKernels;
+extern constinit const simd::PanelKernels* const kAvx512PanelKernels;
+extern constinit const simd::PanelKernels* const kNeonPanelKernels;
 
 }  // namespace socpinn::nn::detail
 
 namespace socpinn::nn::simd {
+namespace {
+
+const PanelKernels* compiled_kernels(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar: return detail::kScalarPanelKernels;
+    case Isa::kAvx2: return detail::kAvx2PanelKernels;
+    case Isa::kAvx512: return detail::kAvx512PanelKernels;
+    case Isa::kNeon: return detail::kNeonPanelKernels;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 const char* isa_name(Isa isa) {
   switch (isa) {
@@ -58,31 +53,7 @@ Isa parse_isa(const char* name) {
       "' (expected scalar, avx2, avx512, or neon)");
 }
 
-bool isa_compiled(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#if defined(SOCPINN_ENABLE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(SOCPINN_ENABLE_AVX512)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(SOCPINN_ENABLE_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
+bool isa_compiled(Isa isa) { return compiled_kernels(isa) != nullptr; }
 
 bool isa_supported(Isa isa) {
   if (!isa_compiled(isa)) return false;
@@ -134,49 +105,12 @@ Isa active_isa() {
 }
 
 const PanelKernels& panel_kernels(Isa isa) {
-  static constexpr PanelKernels kScalarKernels = {
-      &detail::dense_columns_scalar_f32, &detail::dense_columns_scalar_f64};
-#if defined(SOCPINN_ENABLE_AVX2)
-  static constexpr PanelKernels kAvx2Kernels = {
-      &detail::dense_columns_avx2_f32, &detail::dense_columns_avx2_f64};
-#endif
-#if defined(SOCPINN_ENABLE_AVX512)
-  static constexpr PanelKernels kAvx512Kernels = {
-      &detail::dense_columns_avx512_f32, &detail::dense_columns_avx512_f64};
-#endif
-#if defined(SOCPINN_ENABLE_NEON)
-  static constexpr PanelKernels kNeonKernels = {
-      &detail::dense_columns_neon_f32, &detail::dense_columns_neon_f64};
-#endif
   if (!isa_supported(isa)) {
     throw std::invalid_argument(std::string("panel_kernels: ISA '") +
                                 isa_name(isa) +
                                 "' is not supported on this binary/host");
   }
-  switch (isa) {
-    case Isa::kScalar:
-      return kScalarKernels;
-    case Isa::kAvx2:
-#if defined(SOCPINN_ENABLE_AVX2)
-      return kAvx2Kernels;
-#else
-      break;
-#endif
-    case Isa::kAvx512:
-#if defined(SOCPINN_ENABLE_AVX512)
-      return kAvx512Kernels;
-#else
-      break;
-#endif
-    case Isa::kNeon:
-#if defined(SOCPINN_ENABLE_NEON)
-      return kNeonKernels;
-#else
-      break;
-#endif
-  }
-  // Unreachable: isa_supported(isa) implies the matching table exists.
-  throw std::logic_error("panel_kernels: supported ISA without a table");
+  return *compiled_kernels(isa);
 }
 
 const PanelKernels& active_panel_kernels() {

@@ -4,10 +4,11 @@
 ///
 /// The serve forward's hot inner loop — the dense panel kernel — exists in
 /// four instantiations: the portable scalar template (panel_kernels.hpp,
-/// autovectorized at the build's baseline ISA) and explicit AVX2 /
-/// AVX-512F / NEON kernels (panel_kernels_simd.hpp over simd::Vec,
-/// compiled in per-ISA TUs so a baseline build still carries them). This
-/// header is the seam that picks one at runtime:
+/// autovectorized at the build's baseline ISA) and AVX2 / AVX-512F / NEON
+/// vector kernels (panel_kernels_simd.hpp over the one vector-extension
+/// lane type simd::Vec, compiled in per-ISA TUs that each pick their lane
+/// width and define their kernel table, so a baseline build still carries
+/// them). This header is the seam that picks one at runtime:
 ///
 ///   * detection order: AVX-512F > AVX2 > NEON > scalar, resolved ONCE on
 ///     first use (cpuid via __builtin_cpu_supports on x86; NEON is the
@@ -17,10 +18,10 @@
 ///     host cannot run throws std::invalid_argument (loudly, instead of
 ///     silently falling back and "passing" a forced-ISA CI job on the
 ///     wrong kernel);
-///   * every ISA's f64 kernel is bitwise identical to the scalar reference
-///     and f32 within 1 ulp (in practice bitwise; see simd.hpp's unfused
-///     mul_add contract), so dispatch NEVER changes results — only
-///     throughput. Engines stay bitwise thread-count- and ISA-invariant.
+///   * every ISA's kernel is bitwise identical to the scalar reference at
+///     f64 and f32 (see simd.hpp's unfused mul_add contract), so dispatch
+///     NEVER changes results — only throughput. Engines stay bitwise
+///     thread-count- and ISA-invariant.
 ///
 /// Callers on the hot path use dense_columns<T>() below; everything else
 /// (tests, benches, the engines' config surface) can enumerate ISAs,
@@ -33,9 +34,9 @@ namespace socpinn::nn::simd {
 /// The panel kernel instantiations this dispatcher knows about.
 enum class Isa : int {
   kScalar = 0,  ///< portable template, autovectorized at the build baseline
-  kAvx2 = 1,    ///< explicit 256-bit x86 kernels
-  kAvx512 = 2,  ///< explicit 512-bit x86 kernels (AVX-512F)
-  kNeon = 3,    ///< explicit 128-bit aarch64 kernels
+  kAvx2 = 1,    ///< 256-bit x86 vector kernels
+  kAvx512 = 2,  ///< 512-bit x86 vector kernels (AVX-512F)
+  kNeon = 3,    ///< 128-bit aarch64 vector kernels
 };
 inline constexpr int kNumIsas = 4;
 

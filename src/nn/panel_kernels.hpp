@@ -6,9 +6,9 @@
 /// and the reduced-precision serve backend (nn::MatrixT<float>). The
 /// template defines the panel arithmetic: per element, bias first then
 /// ascending-k unfused multiply-adds (the library compiles with
-/// -ffp-contract=off), and every explicit SIMD instantiation
+/// -ffp-contract=off), and every vector instantiation
 /// (panel_kernels_simd.hpp) reproduces exactly that sequence lane-by-lane
-/// — bitwise at f64 on every host. Instantiated at double it is the exact
+/// — bitwise at f64 and f32 on every host. Instantiated at double it is the exact
 /// kernel that lived in matrix.cpp (same tile shapes, same accumulation
 /// order); at float the same tiles pack twice the SIMD lanes per register.
 

@@ -1,31 +1,27 @@
 /// \file panel_kernels_avx2.cpp
-/// AVX2 instantiation of the vectorized panel kernel. This TU (and only
-/// this TU) is compiled with -mavx2 on x86 — the rest of the library stays
-/// at the build's baseline ISA — so the functions here must only be
-/// reached through the runtime dispatcher after a cpuid check
-/// (nn/panel_dispatch.cpp). Guarded by SOCPINN_ENABLE_AVX2 so the file is
-/// an empty TU on other architectures.
+/// AVX2 kernel table: the simd::Vec tile body at 8 f32 / 4 f64 lanes per
+/// ymm register, 2 vectors per accumulator row (16 registers hold the 4x2
+/// tile plus loads and a broadcast). This TU (and only this TU) is
+/// compiled with -mavx2 on x86 — the rest of the library stays at the
+/// build's baseline ISA — so its kernels must only be reached through the
+/// runtime dispatcher after a cpuid check (nn/panel_dispatch.cpp). The
+/// table is constant-initialized, so no AVX2 code runs before that check;
+/// it is nullptr when CMake does not compile AVX2 for this target.
 
-#if defined(SOCPINN_ENABLE_AVX2)
-
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_avx2_f32(const float* a, const float* w, const float* bias,
-                            float* out, std::size_t in_f, std::size_t out_f,
-                            std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 8>>(a, w, bias, out, in_f, out_f,
-                                                batch);
-}
-
-void dense_columns_avx2_f64(const double* a, const double* w,
-                            const double* bias, double* out, std::size_t in_f,
-                            std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 4>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+#if defined(SOCPINN_ENABLE_AVX2)
+namespace {
+constinit const simd::PanelKernels kTable = {
+    &dense_columns_kernel_vec<simd::Vec<float, 8, 2>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 4, 2>>};
+}  // namespace
+extern constinit const simd::PanelKernels* const kAvx2PanelKernels = &kTable;
+#else
+extern constinit const simd::PanelKernels* const kAvx2PanelKernels = nullptr;
+#endif
 
 }  // namespace socpinn::nn::detail
-
-#endif  // SOCPINN_ENABLE_AVX2

@@ -1,30 +1,25 @@
 /// \file panel_kernels_avx512.cpp
-/// AVX-512F instantiation of the vectorized panel kernel — compiled with
-/// -mavx512f on x86 (this TU only; see panel_kernels_avx2.cpp for the
-/// dispatch/isolation rules). The 4x4 zmm accumulator tile covers 64 f32 /
-/// 32 f64 batch columns per pass, the scalar template's exact tile widths.
+/// AVX-512F kernel table: the simd::Vec tile body at 16 f32 / 8 f64 lanes
+/// per zmm register, 4 vectors per accumulator row (32 registers hold the
+/// 4x4 tile), so one pass covers 64 f32 / 32 f64 batch columns — the
+/// scalar template's exact tile widths. Compiled with -mavx512f on x86
+/// (this TU only; see panel_kernels_avx2.cpp for the dispatch and
+/// isolation rules).
 
-#if defined(SOCPINN_ENABLE_AVX512)
-
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_avx512_f32(const float* a, const float* w,
-                              const float* bias, float* out, std::size_t in_f,
-                              std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 16>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
-
-void dense_columns_avx512_f64(const double* a, const double* w,
-                              const double* bias, double* out,
-                              std::size_t in_f, std::size_t out_f,
-                              std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 8>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+#if defined(SOCPINN_ENABLE_AVX512)
+namespace {
+constinit const simd::PanelKernels kTable = {
+    &dense_columns_kernel_vec<simd::Vec<float, 16, 4>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 8, 4>>};
+}  // namespace
+extern constinit const simd::PanelKernels* const kAvx512PanelKernels = &kTable;
+#else
+extern constinit const simd::PanelKernels* const kAvx512PanelKernels = nullptr;
+#endif
 
 }  // namespace socpinn::nn::detail
-
-#endif  // SOCPINN_ENABLE_AVX512

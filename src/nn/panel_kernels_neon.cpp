@@ -1,32 +1,27 @@
 /// \file panel_kernels_neon.cpp
-/// NEON (aarch64 AdvSIMD) instantiation of the vectorized panel kernel.
-/// AdvSIMD is part of the aarch64 base architecture, so no per-file flags
-/// are needed — SOCPINN_ENABLE_NEON is simply defined when CMake targets
-/// aarch64, and compiled implies executable (the dispatcher still routes
-/// through the same table as the x86 ISAs). The unfused mul_add contract
-/// of simd.hpp applies here too: no vmlaq/vfmaq, so f64 results stay
-/// bitwise identical to the scalar reference.
+/// NEON (aarch64 AdvSIMD) kernel table: the simd::Vec tile body at 4 f32 /
+/// 2 f64 lanes per q register, 4 vectors per accumulator row (32
+/// registers, like AVX-512). AdvSIMD is part of the aarch64 base
+/// architecture, so no per-file flags are needed — SOCPINN_ENABLE_NEON is
+/// simply defined when CMake targets aarch64, and compiled implies
+/// executable. simd.hpp's mul_add stays unfused here too (-ffp-contract=off
+/// keeps the compiler from emitting fmla), so results stay bitwise
+/// identical to the scalar reference.
 
-#if defined(SOCPINN_ENABLE_NEON)
-
+#include "nn/panel_dispatch.hpp"
 #include "nn/panel_kernels_simd.hpp"
 
 namespace socpinn::nn::detail {
 
-void dense_columns_neon_f32(const float* a, const float* w, const float* bias,
-                            float* out, std::size_t in_f, std::size_t out_f,
-                            std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<float, 4>>(a, w, bias, out, in_f, out_f,
-                                                batch);
-}
-
-void dense_columns_neon_f64(const double* a, const double* w,
-                            const double* bias, double* out, std::size_t in_f,
-                            std::size_t out_f, std::size_t batch) {
-  dense_columns_kernel_vec<simd::Vec<double, 2>>(a, w, bias, out, in_f,
-                                                 out_f, batch);
-}
+#if defined(SOCPINN_ENABLE_NEON)
+namespace {
+constinit const simd::PanelKernels kTable = {
+    &dense_columns_kernel_vec<simd::Vec<float, 4, 4>>,
+    &dense_columns_kernel_vec<simd::Vec<double, 2, 4>>};
+}  // namespace
+extern constinit const simd::PanelKernels* const kNeonPanelKernels = &kTable;
+#else
+extern constinit const simd::PanelKernels* const kNeonPanelKernels = nullptr;
+#endif
 
 }  // namespace socpinn::nn::detail
-
-#endif  // SOCPINN_ENABLE_NEON

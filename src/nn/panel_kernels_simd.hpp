@@ -1,18 +1,19 @@
 #pragma once
 /// \file panel_kernels_simd.hpp
-/// The explicitly vectorized feature-major dense kernel, written once over
-/// the simd::Vec lane abstraction and instantiated per ISA by the
+/// The vectorized feature-major dense kernel, written once over the
+/// simd::Vec lane type and instantiated per ISA by the
 /// panel_kernels_<isa>.cpp translation units (each compiled with that
-/// ISA's flags). Vectorization is VERTICAL across batch columns — batch is
-/// the unit-stride axis of the feature-major layout and every column is an
-/// independent accumulator chain — so each output element still computes
-/// bias first, then ascending-k unfused multiply-adds, in exactly the
-/// scalar template's order. Column tiling therefore never changes a single
-/// element's rounding sequence: the f64 instantiations are bitwise
-/// identical to detail::dense_columns_kernel<double> at EVERY batch size
-/// (main tile, single-vector pass, scalar remainder alike), and the f32
-/// ones to its float instantiation. tests/nn/test_simd_dispatch.cpp sweeps
-/// batches 1..130 to pin this.
+/// ISA's flags and choosing its own lane width and tile). Vectorization is
+/// VERTICAL across batch columns — batch is the unit-stride axis of the
+/// feature-major layout and every column is an independent accumulator
+/// chain — so each output element still computes bias first, then
+/// ascending-k unfused multiply-adds, in exactly the scalar template's
+/// order. Column tiling therefore never changes a single element's
+/// rounding sequence: the f64 instantiations are bitwise identical to
+/// detail::dense_columns_kernel<double> at EVERY batch size (main tile,
+/// single-vector pass, scalar remainder alike), and the f32 ones to its
+/// float instantiation. tests/nn/test_simd_dispatch.cpp sweeps
+/// batches 1..130 to pin this bitwise at both precisions.
 
 #include <cstddef>
 

@@ -1,173 +1,58 @@
 #pragma once
 /// \file simd.hpp
-/// Lane abstraction behind the explicitly vectorized panel kernels: a
-/// Vec<T, W> value wrapper with load / store / broadcast / mul_add, one
-/// specialization per ISA register type (AVX2, AVX-512F, NEON) plus a
-/// width-1 scalar fallback, so ONE tile body (panel_kernels_simd.hpp)
-/// serves every ISA.
+/// Lane type behind the vectorized panel kernels: ONE Vec<T, W, kTileVecs>
+/// over a GCC/Clang `vector_size` vector of W lanes of T, with load /
+/// broadcast / store and a free mul_add. It carries no intrinsics: the
+/// per-ISA translation units (panel_kernels_<isa>.cpp) compile the one tile
+/// body (panel_kernels_simd.hpp) with their ISA's flags and pick W and
+/// kTileVecs for their register file, so the compiler lowers the same
+/// source to ymm, zmm or q registers. Name a width only in the TU compiled
+/// with its ISA's flags.
 ///
 /// Parity contract: mul_add is deliberately UNFUSED — a vector multiply
 /// followed by a vector add, two roundings, exactly the scalar template's
-/// `acc += wk * a` under -ffp-contract=off (which the build applies
-/// globally; see CMakeLists.txt). That is what makes the f64 AVX2 /
-/// AVX-512 / NEON kernels bitwise identical to the scalar reference on
-/// every host, instead of "identical only when the baseline build happens
-/// to contract the same way". Never swap these bodies for fmadd without
-/// revisiting that contract (tests/nn/test_simd_dispatch.cpp pins it).
-///
-/// Each specialization is guarded by the compiler's own ISA macro, so this
-/// header is safe to include from any TU: a TU compiled at the SSE2
-/// baseline sees only the scalar Vec, while the per-ISA kernel TUs
-/// (compiled with -mavx2 / -mavx512f, or targeting aarch64) see theirs.
+/// `acc += wk * a`, because the build applies -ffp-contract=off globally
+/// (see CMakeLists.txt). That is what makes every ISA's kernels bitwise
+/// identical to the scalar reference at f64 and f32 on every host. Never
+/// fuse it (tests/nn/test_simd_dispatch.cpp pins the contract).
 
-#include <cstddef>
-
-#if defined(__AVX2__) || defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
+#include <cstring>
 
 namespace socpinn::nn::simd {
 
-/// Vec<T, W>: W lanes of scalar T in one register. Required interface:
-///   Scalar            — T
-///   kWidth            — W
-///   kTileVecs         — vectors per accumulator row in the register tile
-///                       (sized to the ISA's register file: 16 regs -> 2,
-///                       32 regs -> 4)
-///   load / broadcast / store, and free mul_add(a, b, acc) = acc + a * b
-///   (unfused; see header comment).
-template <typename T, int W>
-struct Vec;
+/// W lanes of T in one register. TileVecs is the number of vectors per
+/// accumulator row in the kernel's register tile (16 registers -> 2,
+/// 32 registers -> 4).
+template <typename T, int W, int TileVecs>
+struct Vec {
+  // The typedef form keeps the attribute on a dependent T; the alias form
+  // (`using Raw = T __attribute__(...)`) may silently drop it and yield a
+  // scalar, which the assertion below rejects.
+  typedef T Raw __attribute__((vector_size(W * sizeof(T))));
+  static_assert(sizeof(Raw) == W * sizeof(T),
+                "vector_size attribute dropped: Raw is not W lanes wide");
 
-/// Width-1 fallback: lets the generic kernel body instantiate portably
-/// (used by tests to pin the vector body itself to the scalar arithmetic,
-/// independent of any ISA).
-template <typename T>
-struct Vec<T, 1> {
   using Scalar = T;
-  static constexpr int kWidth = 1;
-  static constexpr int kTileVecs = 2;
-  T v;
-  static Vec load(const T* p) { return {*p}; }
-  static Vec broadcast(T x) { return {x}; }
-  void store(T* p) const { *p = v; }
+  static constexpr int kWidth = W;
+  static constexpr int kTileVecs = TileVecs;
+  Raw v;
+
+  static Vec load(const T* p) {
+    Vec r;
+    std::memcpy(&r.v, p, sizeof(Raw));
+    return r;
+  }
+  // x - (+0) is x exactly, -0 included; compilers fold it to a broadcast.
+  static Vec broadcast(T x) { return {x - Raw{}}; }
+  void store(T* p) const { std::memcpy(p, &v, sizeof(Raw)); }
 };
 
-template <typename T>
-inline Vec<T, 1> mul_add(Vec<T, 1> a, Vec<T, 1> b, Vec<T, 1> acc) {
+/// acc + a * b, two roundings (see the parity contract above).
+template <typename T, int W, int TileVecs>
+inline Vec<T, W, TileVecs> mul_add(Vec<T, W, TileVecs> a,
+                                   Vec<T, W, TileVecs> b,
+                                   Vec<T, W, TileVecs> acc) {
   return {acc.v + a.v * b.v};
 }
-
-#if defined(__AVX2__)
-// 16 ymm registers: 4x2 accumulator tile (8 regs) + loads + broadcast.
-template <>
-struct Vec<float, 8> {
-  using Scalar = float;
-  static constexpr int kWidth = 8;
-  static constexpr int kTileVecs = 2;
-  __m256 v;
-  static Vec load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static Vec broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  void store(float* p) const { _mm256_storeu_ps(p, v); }
-};
-
-inline Vec<float, 8> mul_add(Vec<float, 8> a, Vec<float, 8> b,
-                             Vec<float, 8> acc) {
-  return {_mm256_add_ps(acc.v, _mm256_mul_ps(a.v, b.v))};
-}
-
-template <>
-struct Vec<double, 4> {
-  using Scalar = double;
-  static constexpr int kWidth = 4;
-  static constexpr int kTileVecs = 2;
-  __m256d v;
-  static Vec load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Vec broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-};
-
-inline Vec<double, 4> mul_add(Vec<double, 4> a, Vec<double, 4> b,
-                              Vec<double, 4> acc) {
-  return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
-}
-#endif  // __AVX2__
-
-#if defined(__AVX512F__)
-// 32 zmm registers: 4x4 accumulator tile (16 regs) — the tile column
-// widths (64 floats / 32 doubles) land exactly on the scalar template's
-// tile shape.
-template <>
-struct Vec<float, 16> {
-  using Scalar = float;
-  static constexpr int kWidth = 16;
-  static constexpr int kTileVecs = 4;
-  __m512 v;
-  static Vec load(const float* p) { return {_mm512_loadu_ps(p)}; }
-  static Vec broadcast(float x) { return {_mm512_set1_ps(x)}; }
-  void store(float* p) const { _mm512_storeu_ps(p, v); }
-};
-
-inline Vec<float, 16> mul_add(Vec<float, 16> a, Vec<float, 16> b,
-                              Vec<float, 16> acc) {
-  return {_mm512_add_ps(acc.v, _mm512_mul_ps(a.v, b.v))};
-}
-
-template <>
-struct Vec<double, 8> {
-  using Scalar = double;
-  static constexpr int kWidth = 8;
-  static constexpr int kTileVecs = 4;
-  __m512d v;
-  static Vec load(const double* p) { return {_mm512_loadu_pd(p)}; }
-  static Vec broadcast(double x) { return {_mm512_set1_pd(x)}; }
-  void store(double* p) const { _mm512_storeu_pd(p, v); }
-};
-
-inline Vec<double, 8> mul_add(Vec<double, 8> a, Vec<double, 8> b,
-                              Vec<double, 8> acc) {
-  return {_mm512_add_pd(acc.v, _mm512_mul_pd(a.v, b.v))};
-}
-#endif  // __AVX512F__
-
-#if defined(__ARM_NEON) && defined(__aarch64__)
-// 32 ASIMD registers: 4x4 accumulator tile, like AVX-512. f64 vectors
-// need aarch64 (float64x2_t is not available on 32-bit NEON).
-template <>
-struct Vec<float, 4> {
-  using Scalar = float;
-  static constexpr int kWidth = 4;
-  static constexpr int kTileVecs = 4;
-  float32x4_t v;
-  static Vec load(const float* p) { return {vld1q_f32(p)}; }
-  static Vec broadcast(float x) { return {vdupq_n_f32(x)}; }
-  void store(float* p) const { vst1q_f32(p, v); }
-};
-
-inline Vec<float, 4> mul_add(Vec<float, 4> a, Vec<float, 4> b,
-                             Vec<float, 4> acc) {
-  // vaddq(vmulq(...)) keeps the two roundings; vmlaq/vfmaq would fuse.
-  return {vaddq_f32(acc.v, vmulq_f32(a.v, b.v))};
-}
-
-template <>
-struct Vec<double, 2> {
-  using Scalar = double;
-  static constexpr int kWidth = 2;
-  static constexpr int kTileVecs = 4;
-  float64x2_t v;
-  static Vec load(const double* p) { return {vld1q_f64(p)}; }
-  static Vec broadcast(double x) { return {vdupq_n_f64(x)}; }
-  void store(double* p) const { vst1q_f64(p, v); }
-};
-
-inline Vec<double, 2> mul_add(Vec<double, 2> a, Vec<double, 2> b,
-                              Vec<double, 2> acc) {
-  return {vaddq_f64(acc.v, vmulq_f64(a.v, b.v))};
-}
-#endif  // __ARM_NEON && __aarch64__
 
 }  // namespace socpinn::nn::simd

@@ -1,9 +1,9 @@
 /// Pins the runtime-ISA panel dispatch (nn/panel_dispatch.hpp): the
 /// resolution policy (detection order, SOCPINN_FORCE_ISA spelling, loud
 /// failure on unknown/unsupported overrides), the parity contract — every
-/// explicit SIMD kernel bitwise identical to the scalar reference at f64
-/// and within 1 ulp at f32, across an exhaustive batch sweep covering every
-/// tile/remainder decomposition — and the 64-byte alignment contract of the
+/// vector kernel bitwise identical to the scalar reference at f64 and f32,
+/// across an exhaustive batch sweep covering every tile/remainder
+/// decomposition — and the 64-byte alignment contract of the
 /// panel carriers (nn/aligned.hpp).
 ///
 /// These tests exercise every kernel the BINARY carries that the HOST can
@@ -60,7 +60,9 @@ TEST(SimdDispatch, ScalarIsAlwaysCompiledAndSupported) {
 
 TEST(SimdDispatch, SupportedImpliesCompiled) {
   for (Isa isa : all_isas()) {
-    if (simd::isa_supported(isa)) EXPECT_TRUE(simd::isa_compiled(isa));
+    if (simd::isa_supported(isa)) {
+      EXPECT_TRUE(simd::isa_compiled(isa));
+    }
   }
 }
 
@@ -116,30 +118,19 @@ TEST(SimdDispatch, PanelKernelsTableMatchesSupport) {
             simd::panel_kernels(simd::active_isa()).f64);
 }
 
-/// ulp distance between two floats of the same sign regime; 0 for bitwise
-/// equality. Large sentinel when signs differ (never expected here).
-std::uint32_t ulp_diff(float a, float b) {
-  std::int32_t ia = 0, ib = 0;
-  std::memcpy(&ia, &a, sizeof(a));
-  std::memcpy(&ib, &b, sizeof(b));
-  if ((ia < 0) != (ib < 0)) {
-    return a == b ? 0u : 0x7fffffffu;  // +0 vs -0 counts as equal
-  }
-  const std::int64_t d = static_cast<std::int64_t>(ia) - ib;
-  return static_cast<std::uint32_t>(d < 0 ? -d : d);
-}
-
-/// The parity sweep: every supported ISA against the scalar reference over
-/// batches 1..130 — crossing every tile boundary of every kernel (scalar
-/// f64 tiles at 32 columns, f32 at 64/32; AVX-512 tiles at 32/64; AVX2 at
-/// 8/16 per vector with 2-vector tiles; NEON at 2/4 with 4-vector tiles)
-/// plus the single-vector pass and the scalar remainder, and out_f values
-/// hitting the 4-row tile, its remainder rows, and out_f == 1.
+/// The parity sweep: every supported ISA against the scalar reference,
+/// bitwise at both precisions, over batches 1..130 — crossing every tile
+/// boundary of every kernel (scalar f64 tiles at 32 columns, f32 at 64/32;
+/// the simd::Vec kernels at 2 x 4 / 2 x 8 lanes on AVX2, 4 x 8 / 4 x 16 on
+/// AVX-512 and 4 x 2 / 4 x 4 on NEON, f64 / f32) plus the single-vector
+/// pass and the scalar remainder. in_f covers the served Branch-2 inputs
+/// (4, 16, 32) plus an odd width; out_f hits the 4-row tile, its remainder
+/// rows, and out_f == 1.
 TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
   constexpr std::size_t kMaxBatch = 130;
-  constexpr std::size_t kMaxInF = 16;
+  constexpr std::size_t kMaxInF = 32;
   constexpr std::size_t kMaxOutF = 32;
-  const std::size_t in_fs[] = {3, 16};
+  const std::size_t in_fs[] = {3, 4, 16, 32};
   const std::size_t out_fs[] = {1, 7, 16, 32};
 
   const std::vector<Isa> isas = supported_isas();
@@ -190,13 +181,12 @@ TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
               << " batch=" << batch;
           k.f32(a32.data(), w32.data(), b32.data(), out32.data(), in_f,
                 out_f, batch);
-          for (std::size_t i = 0; i < out_f * batch; ++i) {
-            ASSERT_LE(ulp_diff(out32[i], ref32[i]), 1u)
-                << "f32 beyond 1 ulp of scalar: isa=" << simd::isa_name(isa)
-                << " in_f=" << in_f << " out_f=" << out_f
-                << " batch=" << batch << " elem=" << i << " got=" << out32[i]
-                << " want=" << ref32[i];
-          }
+          ASSERT_EQ(std::memcmp(out32.data(), ref32.data(),
+                                out_f * batch * sizeof(float)),
+                    0)
+              << "f32 not bitwise-identical to scalar: isa="
+              << simd::isa_name(isa) << " in_f=" << in_f << " out_f=" << out_f
+              << " batch=" << batch;
         }
       }
     }

@@ -15,12 +15,10 @@ runtime, and only on the paths a test happens to exercise:
     linter is the static complement: functions annotated SOCPINN_HOT
     (src/util/annotations.hpp) must not contain allocation constructs
     unless each is waived with a justified SOCPINN_HOT_ALLOW comment.
-  * f64 results are bitwise identical across scalar/AVX2/AVX-512/NEON
-    because every kernel performs UNFUSED multiply-adds under a global
-    -ffp-contract=off. A std::fma call or an FP_CONTRACT pragma anywhere
-    outside nn/simd.hpp (the one place a fused path may ever be
-    deliberately introduced and re-contracted) silently breaks that
-    parity on exactly one ISA.
+  * f64 and f32 results are bitwise identical across scalar / AVX2 /
+    AVX-512 / NEON because every kernel performs UNFUSED multiply-adds
+    under a global -ffp-contract=off. A std::fma call or an FP_CONTRACT pragma anywhere
+    in the tree silently breaks that parity on exactly one ISA.
 
 Checks (names usable in waiver comments and reports):
 
@@ -45,7 +43,7 @@ Checks (names usable in waiver comments and reports):
                  moved code would otherwise silently cover whatever
                  lands there next.
   fp-contract    no std::fma / fmaf / fmal and no FP_CONTRACT-style
-                 pragmas outside nn/simd.hpp.
+                 pragmas anywhere.
   seqlock-discipline
                  the single-writer seqlock protocol in serve/:
                  (a) every odd sequence bump (`store(s + 1, ...)`) is
@@ -593,27 +591,22 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
 
 FMA_CALL = re.compile(r"\b(?:std\s*::\s*)?fma[fl]?\s*\(")
 PRAGMA_LINE = re.compile(r"^\s*#\s*pragma\b.*contract", re.I)
-FP_ALLOWLIST = ("nn/simd.hpp",)
 
 
 def check_fp_contract(rel: str, text: str, masked: str) -> list[tuple]:
-    if rel.replace("\\", "/").endswith(FP_ALLOWLIST):
-        return []
     findings = []
     for m in FMA_CALL.finditer(masked):
         findings.append((
             rel, line_of(masked, m.start()), "fp-contract",
             "std::fma performs ONE rounding where every kernel in this "
             "tree performs two (global -ffp-contract=off) — it would "
-            "break f64 bitwise parity across ISAs; fused paths may only "
-            "be introduced in nn/simd.hpp with the contract revisited"))
+            "break bitwise parity across ISAs"))
     for i, raw in enumerate(text.splitlines(), start=1):
         if PRAGMA_LINE.match(raw):
             findings.append((
                 rel, i, "fp-contract",
                 "FP_CONTRACT-style pragma overrides the global "
-                "-ffp-contract=off that pins cross-ISA f64 bitwise "
-                "parity; only nn/simd.hpp may renegotiate contraction"))
+                "-ffp-contract=off that pins cross-ISA bitwise parity"))
     return findings
 
 
@@ -648,7 +641,7 @@ def main(argv: list[str]) -> int:
         "--root", type=Path,
         default=Path(__file__).resolve().parents[2] / "src",
         help="directory scanned when no files are given; also the base "
-             "for scope decisions (serve/, nn/simd.hpp)")
+             "for scope decisions (serve/)")
     parser.add_argument("files", nargs="*", type=Path)
     args = parser.parse_args(argv)
 

@@ -1,4 +1,4 @@
-// Fixture: fused-multiply-add outside nn/simd.hpp — every EXPECT line
+// Fixture: fused-multiply-add in an ordinary kernel file — every EXPECT line
 // must be flagged by fp-contract.
 #include <cmath>
 

@@ -209,9 +209,11 @@ class TestFpContract(unittest.TestCase):
                    if f[0].endswith("bad_fma.cpp")}
         self.assertEqual(flagged, set(expected_lines(self.FIXTURE)))
 
-    def test_simd_hpp_is_allowlisted(self):
-        clean = [f for f in run_dir(GOOD) if f[2] == "fp-contract"]
-        self.assertEqual(clean, [])
+    def test_simd_hpp_is_not_exempt(self):
+        path = BAD / "nn" / "simd.hpp"
+        flagged = {f[1] for f in self.findings() if f[0].endswith("simd.hpp")}
+        self.assertEqual(flagged, set(expected_lines(path)))
+        self.assertTrue(flagged)
 
 
 class TestEdgeCases(unittest.TestCase):
