@@ -23,12 +23,17 @@ namespace socpinn::serve {
 
 namespace {
 
-/// One spin-wait beat. The parent and its workers share cores (possibly
-/// ONE core in CI containers), so the wait loops sleep instead of
-/// busy-spinning: command granularity is a whole batched tick over
-/// thousands of cells, which dwarfs a 100us nap.
+/// Bound of one command wait beat. The parent and its workers share
+/// cores (possibly ONE core in CI containers), so the wait blocks in
+/// seq_wait instead of busy-spinning; the parent's seq_wake ends it as
+/// soon as a command is posted, and the bound only paces the orphan
+/// check.
+constexpr long kBeatNs = 100'000;
+
+/// One 100us sleep, for the setup wait on the model region (which has
+/// no wake: the parent publishes before forking).
 void nap() {
-  timespec ts{0, 100'000};
+  timespec ts{0, kBeatNs};
   ::nanosleep(&ts, nullptr);
 }
 
@@ -99,13 +104,14 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
       // Orphan check: if the parent died we were reparented — nothing
       // will ever command or reap us, so leave instead of leaking.
       if (++beats % 64 == 0 && ::getppid() != parent) ::_exit(2);
-      nap();
+      seq_wait(h.cmd_seq, acked, kBeatNs);
     }
     const auto cmd = static_cast<WorkerCommand>(h.cmd);
     if (cmd == WorkerCommand::kStop) {
       h.status = 0;
       std::atomic_ref<std::uint64_t>(h.ack_seq).store(
           seq, std::memory_order_release);
+      seq_wake(h.ack_seq);
       ::_exit(0);
     }
 
@@ -188,6 +194,7 @@ void shard_worker_main(const ShardWorkerContext& ctx) {
     // Everything above is ordered before the parent's acquire of ack_seq.
     std::atomic_ref<std::uint64_t>(h.ack_seq).store(seq,
                                                     std::memory_order_release);
+    seq_wake(h.ack_seq);
     acked = seq;
   }
 }

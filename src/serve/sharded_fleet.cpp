@@ -23,10 +23,15 @@ namespace socpinn::serve {
 
 namespace {
 
-/// Same beat as the worker side: sleep, don't burn the (possibly single)
-/// shared core under the worker that is doing the actual tick.
+/// Bound of one ack wait beat, the same as the worker side: block in
+/// seq_wait, don't burn the (possibly single) shared core under the
+/// worker that is doing the actual tick. The worker's seq_wake ends the
+/// wait at its ack; the bound only paces the waitpid liveness check.
+constexpr long kBeatNs = 100'000;
+
+/// One 100us sleep, for the destructor's reap loop (waitpid has no wake).
 void nap() {
-  timespec ts{0, 100'000};
+  timespec ts{0, kBeatNs};
   ::nanosleep(&ts, nullptr);
 }
 
@@ -132,6 +137,7 @@ ShardedFleet::~ShardedFleet() {
     ++w.seq;
     std::atomic_ref<std::uint64_t>(w.header->cmd_seq)
         .store(w.seq, std::memory_order_release);
+    seq_wake(w.header->cmd_seq);
   }
   for (Worker& w : workers_) {
     if (w.pid <= 0 || w.reaped) continue;
@@ -154,12 +160,14 @@ void ShardedFleet::post(Worker& w, WorkerCommand cmd) {
   ++w.seq;
   std::atomic_ref<std::uint64_t>(w.header->cmd_seq)
       .store(w.seq, std::memory_order_release);
+  seq_wake(w.header->cmd_seq);
 }
 
 void ShardedFleet::wait_ack(Worker& w) {
   const std::atomic_ref<std::uint64_t> ack(w.header->ack_seq);
   std::size_t beats = 0;
-  while (ack.load(std::memory_order_acquire) != w.seq) {
+  std::uint64_t seen;
+  while ((seen = ack.load(std::memory_order_acquire)) != w.seq) {
     // Once reaped, a dead worker is never waited for again, and waitpid
     // on it returns -1 instead of its pid: both are the same diagnosis.
     if (w.reaped ||
@@ -169,7 +177,7 @@ void ShardedFleet::wait_ack(Worker& w) {
                                std::to_string(w.shard.index) +
                                " died before acknowledging a command");
     }
-    nap();
+    seq_wait(w.header->ack_seq, seen, kBeatNs);
   }
 }
 

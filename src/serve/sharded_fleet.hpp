@@ -32,12 +32,15 @@
 ///     tick is ever torn — RCU semantics across processes).
 ///
 /// Commands are synchronous: each mirrors the blocking FleetEngine call,
-/// broadcasting to all workers, waiting for every ack (with waitpid
-/// liveness checks, so a crashed worker raises instead of hanging), then
-/// gathering per-shard SoC. Worker errors surface as std::runtime_error
-/// naming the worker. Like FleetEngine's tick-path methods, commands must
-/// come from one thread; publish_* and model_version() are safe from any
-/// thread at any time.
+/// broadcasting to all workers, waiting for every ack, then gathering
+/// per-shard SoC. Both sides block in a process-shared futex wait
+/// (seq_wait) that the peer's seq_wake ends, so a command costs its
+/// compute plus two wake-ups, not a multiple of a polling nap; the wait
+/// is bounded at 100us, and every 64 waits a waitpid liveness check runs,
+/// so a crashed worker raises instead of hanging. Worker errors surface
+/// as std::runtime_error naming the worker. Like FleetEngine's tick-path
+/// methods, commands must come from one thread; publish_* and
+/// model_version() are safe from any thread at any time.
 
 #include <sys/types.h>
 

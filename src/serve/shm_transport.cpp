@@ -1,12 +1,19 @@
 #include "serve/shm_transport.hpp"
 
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
+// NOLINT(modernize-deprecated-headers) — <ctime> is not guaranteed to
+// declare POSIX ::timespec; this TU needs the POSIX header.
+#include <time.h>  // NOLINT(modernize-deprecated-headers)
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -30,6 +37,34 @@ std::vector<Shard> partition_fleet(std::size_t num_cells,
     shards.push_back(Shard{w, range.begin, range.end});
   }
   return shards;
+}
+
+namespace {
+
+/// The futex word of a 64-bit sequence counter: its low 32-bit half. The
+/// counters only ever grow by one, so every store changes that half.
+std::uint32_t* futex_word(std::uint64_t& seq) {
+  auto* halves = reinterpret_cast<std::uint32_t*>(&seq);
+  return std::endian::native == std::endian::little ? halves : halves + 1;
+}
+
+}  // namespace
+
+void seq_wait(std::uint64_t& seq, std::uint64_t seen, long timeout_ns) {
+  // A relative timeout; tv_nsec must stay below one second.
+  const timespec ts{timeout_ns / 1'000'000'000, timeout_ns % 1'000'000'000};
+  // The kernel compares the word with `seen` under its futex lock, so a
+  // store + seq_wake that lands after the caller's load either fails
+  // this compare (EAGAIN, immediate return) or wakes the sleep: no wake
+  // is lost. Every outcome (woken, timed out, EAGAIN, EINTR) means "load
+  // the counter again", so the result is deliberately ignored.
+  ::syscall(SYS_futex, futex_word(seq), FUTEX_WAIT,
+            static_cast<std::uint32_t>(seen), &ts, nullptr, 0);
+}
+
+void seq_wake(std::uint64_t& seq) {
+  ::syscall(SYS_futex, futex_word(seq), FUTEX_WAKE, INT_MAX, nullptr,
+            nullptr, 0);
 }
 
 ShmSegment::ShmSegment(std::size_t size) : size_(size) {

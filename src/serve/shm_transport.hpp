@@ -90,10 +90,12 @@ enum class WorkerCommand : std::uint32_t {
 /// The per-worker command/status channel at the head of its segment.
 /// Single-writer on each side: the parent writes the command fields and
 /// bumps cmd_seq (release); the worker executes, writes the status/export
-/// fields, and publishes ack_seq = cmd_seq (release). Each side spins on
-/// the other's counter with an acquire load plus a liveness check
-/// (waitpid in the parent, getppid in the worker), so a dead peer turns
-/// into an error instead of a hang.
+/// fields, and publishes ack_seq = cmd_seq (release). Every release-store
+/// of either counter is followed by seq_wake on it, and each side waits
+/// for the other's counter with an acquire load and seq_wait bounded at
+/// 100us, so a command ends when the peer wakes it. Every 64 waits it
+/// checks liveness (waitpid in the parent, getppid in the worker), so a
+/// dead peer turns into an error instead of a hang.
 struct alignas(64) WorkerHeader {
   // --- ABI fingerprint (parent-written once, before fork) ---
   /// serve::shm_layout_hash() of the binary that laid out the segment.
@@ -148,6 +150,18 @@ static_assert(offsetof(WorkerHeader, ack_seq) %
                       std::atomic_ref<std::uint64_t>::required_alignment ==
                   0,
               "ack_seq must satisfy atomic_ref alignment");
+
+/// Blocks while `seq` still holds `seen`, for at most `timeout_ns`: a
+/// process-shared FUTEX_WAIT on the counter's low 32-bit half. Returns at
+/// once if that half already differs from `seen`'s, and may return early
+/// (a wake, a signal, a spurious return), so callers re-load `seq` in a
+/// loop. Not FUTEX_PRIVATE_FLAG: the counters live in MAP_SHARED segments
+/// that the waiter and the waker map in different processes.
+void seq_wait(std::uint64_t& seq, std::uint64_t seen, long timeout_ns);
+
+/// Wakes every seq_wait on `seq`. Call it after each release-store of a
+/// waited-on counter; without it a waiter only notices at its bound.
+void seq_wake(std::uint64_t& seq);
 
 /// Byte offsets inside one worker's segment for a shard of `num_cells`
 /// cells. Pure arithmetic — both sides of the fork compute the same

@@ -16,11 +16,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/fleet_engine.hpp"
@@ -109,6 +113,68 @@ TEST(ModelRegion, PublishesVersionedBlobsReadableByVersion) {
   EXPECT_EQ(out, "second, longer model blob");
 
   EXPECT_THROW(region.publish(std::string(2048, 'x')), std::invalid_argument);
+}
+
+using Clock = std::chrono::steady_clock;
+constexpr long kTenSecondsNs = 10'000'000'000;
+
+TEST(SeqWait, WakeFromAnotherProcessEndsAWaitLongBeforeItsBound) {
+  SOCPINN_SKIP_IF_NO_FORK();
+  // Watchdog: a wait that never ends kills the test process — a failure,
+  // not a hang. Disarmed on every exit path, failed ASSERTs included.
+  struct Watchdog {
+    Watchdog() { ::alarm(60); }
+    ~Watchdog() { ::alarm(0); }
+  } const watchdog;
+  ShmSegment segment(64);
+  std::uint64_t& word = *segment.at<std::uint64_t>(0);
+  std::uint64_t& ready = *segment.at<std::uint64_t>(8);
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::atomic_ref<std::uint64_t>(ready).store(1, std::memory_order_release);
+    while (std::atomic_ref<std::uint64_t>(word).load(
+               std::memory_order_acquire) == 0) {
+      seq_wait(word, 0, kTenSecondsNs);
+    }
+    ::_exit(0);
+  }
+  while (std::atomic_ref<std::uint64_t>(ready).load(
+             std::memory_order_acquire) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Let the child block in FUTEX_WAIT, so the wake is what ends it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const Clock::time_point woke = Clock::now();
+  std::atomic_ref<std::uint64_t>(word).store(1, std::memory_order_release);
+  seq_wake(word);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  // A lost cross-process wake (say, a FUTEX_PRIVATE_FLAG wait) only ends
+  // at the 10 s bound.
+  EXPECT_LT(Clock::now() - woke, std::chrono::seconds(5));
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(SeqWait, StaleSeenReturnsAtOnce) {
+  ShmSegment segment(64);
+  std::uint64_t& word = *segment.at<std::uint64_t>(0);
+  std::atomic_ref<std::uint64_t>(word).store(5, std::memory_order_release);
+  const Clock::time_point start = Clock::now();
+  seq_wait(word, 4, kTenSecondsNs);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(SeqWait, UnwokenWaitReturnsAfterItsBound) {
+  ShmSegment segment(64);
+  std::uint64_t& word = *segment.at<std::uint64_t>(0);
+  const Clock::time_point start = Clock::now();
+  seq_wait(word, 0, 20'000'000);  // 20 ms
+  const Clock::duration waited = Clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(20));
+  EXPECT_LT(waited, std::chrono::seconds(5));
 }
 
 /// Drives the same command sequence against both engines. The sequence

@@ -60,6 +60,12 @@ Checks (names usable in waiver comments and reports):
                  variable waits, sleeps, util::MutexLock / CondVar)
                  inside a SOCPINN_HOT body — hot paths sit on the
                  wait-free side of the seqlocks.
+  seq-wake       in serve/, every store through a std::atomic_ref over a
+                 command-channel counter (cmd_seq, ack_seq) is followed,
+                 in the same function and within the store's own brace
+                 block, by seq_wake(...) on the same field. The peer blocks in seq_wait; without the wake it
+                 still sees the store at its 100us bound, so a dropped
+                 wake passes every parity test and only shows as latency.
 
 The linter is heuristic by design (stdlib-only Python, no C++ parser):
 it masks comments/strings, balances parentheses across lines, and
@@ -225,12 +231,16 @@ def atomic_decl_names(masked: str) -> set[str]:
     return names
 
 
-def receiver_is_atomic(masked: str, dot_pos: int, names: set[str]) -> bool:
+def receiver(masked: str, dot_pos: int):
+    """The receiver of the member call whose `.`/`->` sits at `dot_pos`:
+    ("call", open_paren, close_paren) when it ends in a parenthesized
+    argument list (e.g. an inline std::atomic_ref<T>(x) temporary),
+    ("name", identifier) otherwise, or None at the start of the file."""
     j = dot_pos - 1
     while j >= 0 and masked[j] in " \t\n":
         j -= 1
     if j < 0:
-        return False
+        return None
     if masked[j] == ")":
         depth = 0
         k = j
@@ -242,11 +252,20 @@ def receiver_is_atomic(masked: str, dot_pos: int, names: set[str]) -> bool:
                 if depth == 0:
                     break
             k -= 1
-        return bool(ATOMIC_TEMP_TAIL.search(masked[:k]))
+        return ("call", k, j)
     end = j + 1
     while j >= 0 and (masked[j].isalnum() or masked[j] == "_"):
         j -= 1
-    return masked[j + 1 : end] in names
+    return ("name", masked[j + 1 : end])
+
+
+def receiver_is_atomic(masked: str, dot_pos: int, names: set[str]) -> bool:
+    r = receiver(masked, dot_pos)
+    if r is None:
+        return False
+    if r[0] == "call":
+        return bool(ATOMIC_TEMP_TAIL.search(masked[:r[1]]))
+    return r[1] in names
 
 
 def check_atomic_order(rel: str, text: str, masked: str) -> list[tuple]:
@@ -587,6 +606,83 @@ def check_seqlock_discipline(rel: str, text: str, masked: str,
     return findings
 
 
+# ------------------------------------------------------- check: seq-wake
+
+WAKE_FIELDS = frozenset(("cmd_seq", "ack_seq"))
+STORE_CALL = re.compile(r"(?:\.|->)\s*store\s*\(")
+SEQ_WAKE_CALL = re.compile(r"\bseq_wake\s*\(")
+IDENT = re.compile(r"[A-Za-z_]\w*")
+ATOMIC_REF_TEMP_TAIL = re.compile(
+    r"\bstd\s*::\s*atomic_ref\s*<[^;{}]*>\s*$", re.S)
+
+
+def last_identifier(expr: str):
+    idents = IDENT.findall(expr)
+    return idents[-1] if idents else None
+
+
+def atomic_ref_field(masked: str, dot_pos: int):
+    """The field a std::atomic_ref store at `dot_pos` writes: the last
+    identifier of the atomic_ref's constructor argument, for an inline
+    temporary (`std::atomic_ref<T>(h.ack_seq).store(...)`) or a named
+    reference (`std::atomic_ref<T> ack(h.ack_seq); ack.store(...)`,
+    resolved through the nearest declaration above the store). None when
+    the receiver is not a std::atomic_ref."""
+    r = receiver(masked, dot_pos)
+    if r is None:
+        return None
+    if r[0] == "call":
+        if not ATOMIC_REF_TEMP_TAIL.search(masked[:r[1]]):
+            return None
+        return last_identifier(masked[r[1] + 1:r[2]])
+    name = r[1]
+    if not name:
+        return None
+    decl = re.compile(r"\bstd\s*::\s*atomic_ref\s*<[^;{}()]*>\s*" +
+                      re.escape(name) + r"\s*[({]([^;]*?)[)}]\s*;")
+    decls = list(decl.finditer(masked, 0, dot_pos))
+    return last_identifier(decls[-1].group(1)) if decls else None
+
+
+def enclosing_block_end(masked: str, pos: int) -> int:
+    """Index just past the `}` closing the innermost brace block that
+    contains `pos` (len(masked) at file scope)."""
+    depth = 0
+    for k in range(pos - 1, -1, -1):
+        if masked[k] == "}":
+            depth += 1
+        elif masked[k] == "{":
+            if depth == 0:
+                return balance(masked, k, "{", "}")
+            depth -= 1
+    return len(masked)
+
+
+def check_seq_wake(rel: str, text: str, masked: str) -> list[tuple]:
+    findings = []
+    for m in STORE_CALL.finditer(masked):
+        field = atomic_ref_field(masked, m.start())
+        if field not in WAKE_FIELDS:
+            continue
+        # The wake must sit in the store's own block: a wake further down
+        # the function does not cover a store on a branch that leaves
+        # early (the worker's kStop ack is followed by _exit).
+        after = balance(masked, m.end() - 1, "(", ")")
+        tail = masked[after:enclosing_block_end(masked, m.start())]
+        woken = any(
+            last_identifier(tail[w.end() - 1:balance(
+                tail, w.end() - 1, "(", ")")]) == field
+            for w in SEQ_WAKE_CALL.finditer(tail))
+        if not woken:
+            findings.append((
+                rel, line_of(masked, m.start()), "seq-wake",
+                f"store to {field} without a following seq_wake(...{field})"
+                f" in the same block — the peer blocked in seq_wait "
+                f"would only see it at its 100us bound, putting the "
+                f"command round trip back on the nap cadence"))
+    return findings
+
+
 # ---------------------------------------------------- check: fp-contract
 
 FMA_CALL = re.compile(r"\b(?:std\s*::\s*)?fma[fl]?\s*\(")
@@ -628,6 +724,7 @@ def lint_file(path: Path, root: Path) -> list[tuple]:
     if in_serve_scope(rel):
         findings += check_atomic_order(rel, text, masked)
         findings += check_seqlock_discipline(rel, text, masked, comments)
+        findings += check_seq_wake(rel, text, masked)
     findings += check_hot_alloc(rel, text, masked, comments)
     findings += check_stale_waivers(rel, text, masked, comments)
     findings += check_fp_contract(rel, text, masked)
@@ -662,8 +759,8 @@ def main(argv: list[str]) -> int:
               f"{len(files)} file(s)")
         return 1
     print(f"invariant_lint: clean ({len(files)} files, checks: "
-          f"atomic-order seqlock-discipline hot-alloc stale-waiver "
-          f"fp-contract)")
+          f"atomic-order seqlock-discipline seq-wake hot-alloc "
+          f"stale-waiver fp-contract)")
     return 0
 
 

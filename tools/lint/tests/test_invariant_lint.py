@@ -40,7 +40,7 @@ import re
 def expected_lines(path: Path) -> list[int]:
     """1-based line numbers tagged `// EXPECT <check>` in a fixture."""
     tag = re.compile(r"//\s*EXPECT\s+(?:atomic-order|hot-alloc|fp-contract"
-                     r"|seqlock-discipline|stale-waiver)")
+                     r"|seqlock-discipline|stale-waiver|seq-wake)")
     return [i for i, raw in enumerate(path.read_text().splitlines(), 1)
             if tag.search(raw)]
 
@@ -196,6 +196,40 @@ class TestSeqlockDiscipline(unittest.TestCase):
         pos = masked.index(".publish(")
         self.assertEqual(lint.enclosing_function(spans, pos)[0],
                          "publish_all")
+
+
+class TestSeqWake(unittest.TestCase):
+    FIXTURE = BAD / "serve" / "bad_seq_wake.cpp"
+
+    def findings(self):
+        return [f for f in run_dir(BAD) if f[2] == "seq-wake"]
+
+    def test_every_seeded_violation_is_flagged(self):
+        flagged = {f[1] for f in self.findings()
+                   if f[0].endswith("bad_seq_wake.cpp")}
+        self.assertEqual(flagged, set(expected_lines(self.FIXTURE)))
+
+    def test_both_counters_fire(self):
+        msgs = " ".join(f[3] for f in self.findings())
+        self.assertIn("store to cmd_seq", msgs)
+        self.assertIn("store to ack_seq", msgs)
+
+    def test_woken_stores_and_other_fields_pass(self):
+        clean = [f for f in run_dir(GOOD) if f[2] == "seq-wake"]
+        self.assertEqual(clean, [])
+
+    def test_scope_is_serve_only(self):
+        text = ("void post(H& h) {\n"
+                "  std::atomic_ref<std::uint64_t>(h.cmd_seq)\n"
+                "      .store(1, std::memory_order_release);\n"
+                "}\n")
+        masked, _ = lint.mask_comments_and_strings(text)
+        self.assertTrue(lint.check_seq_wake("serve/x.cpp", text, masked))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "core" / "x.cpp"
+            path.parent.mkdir()
+            path.write_text(text)
+            self.assertEqual(lint.lint_file(path, Path(tmp)), [])
 
 
 class TestFpContract(unittest.TestCase):
