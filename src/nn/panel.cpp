@@ -93,7 +93,8 @@ ScalerStatsT<T> ScalerStatsT<T>::from(const StandardScaler& scaler) {
 
 template <typename T>
 SOCPINN_HOT void ScalerStatsT<T>::transform_columns_into(
-    const MatrixT<T>& x, MatrixT<T>& out) const {
+    const MatrixT<T>& x, std::size_t first, std::size_t count,
+    MatrixT<T>& out) const {
   if (means.empty()) {
     throw std::logic_error("ScalerStatsT: empty stats");
   }
@@ -101,13 +102,17 @@ SOCPINN_HOT void ScalerStatsT<T>::transform_columns_into(
     throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
                                 "feature rows");
   }
+  if (first > x.cols() || count > x.cols() - first) {
+    throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
+                                "column range");
+  }
   // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
-  out.resize(x.rows(), x.cols());
+  out.resize(x.rows(), count);
   for (std::size_t f = 0; f < x.rows(); ++f) {
     const T mean = means[f];
     const T std = stds[f];
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      out(f, j) = (x(f, j) - mean) / std;
+    for (std::size_t j = 0; j < count; ++j) {
+      out(f, j) = (x(f, first + j) - mean) / std;
     }
   }
 }

@@ -2,8 +2,9 @@
 /// \file fleet_engine.hpp
 /// Fleet-scale serving: one engine owns the SoC state of N independent
 /// cells and advances the whole fleet per tick with batched cascaded
-/// forwards — one matmul per layer for all cells of a shard instead of a
-/// per-cell inference loop.
+/// forwards — one panel forward per shard, walked through the whole branch
+/// nn::kColumnsBlock cells at a time (see core::TwoBranchSnapshotT),
+/// instead of a per-cell inference loop.
 ///
 /// Deployment model (the scenario PINN4SOH-style fleet work targets): the
 /// BMS of every cell reports sensors once at connect time (Branch-1
@@ -52,8 +53,9 @@
 /// Every batched forward runs the snapshot's TwoBranchSnapshotT<T> over
 /// one feature-major panel layout (batch as the unit-stride axis), padded
 /// with zero columns up to the 32-column tile (nn::kColumnsMinBatch) on
-/// thin shards and re-anchor batches. Per-column results are independent
-/// of the batch width, so padding changes nothing but speed.
+/// thin shards and re-anchor batches, and column-blocked on shards wider
+/// than nn::kColumnsBlock. Per-column results are independent of the batch
+/// width, so neither padding nor blocking changes anything but speed.
 
 #include <atomic>
 #include <cstdint>
@@ -112,8 +114,10 @@ struct FleetConfig {
   /// plane's uniform seed). The default reproduces the pre-refactor
   /// constants bitwise; per-cell values diverge later via set_cell_params
   /// or mailbox param updates. Must satisfy core::is_valid (validated at
-  /// construction).
-  core::CellParams default_params;
+  /// construction). The `{}` default member initializer lets designated
+  /// initializers such as `{.threads = 2}` omit it without GCC's
+  /// -Wmissing-field-initializers.
+  core::CellParams default_params{};
 };
 
 class FleetEngine {

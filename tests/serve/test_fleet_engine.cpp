@@ -66,44 +66,53 @@ TEST(FleetEngine, SimdIsaReportsTheProcessWideDispatch) {
 
 TEST(FleetEngine, MatchesScalarCascadePerCell) {
   // Bitwise against the scalar per-cell walk at every shard shape: thin
-  // shards of 1-31 cells, the 32-column panel tile, and shards just past
-  // it. Covers connect-time seeding, step(), a single-cell synchronous
-  // re-anchor, and one run() tick.
+  // shards of 1-31 cells, the 32-column panel tile, shards just past it,
+  // and (513, 600 cells at 1 thread) shards that run the snapshot's
+  // column-blocked forward over several 256-column blocks with a ragged
+  // last one. Covers connect-time seeding, step(), a single-cell
+  // synchronous re-anchor, and one run() tick. The untrained test net
+  // drives every clamped SoC to exactly 0 or 1 within one step, where a
+  // wrong forward would still compare equal, so the walk also runs
+  // unclamped.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const double shared[3] = {-2.0, 25.0, 60.0};
   core::InferenceWorkspace ws;
-  for (const std::size_t cells : {1, 7, 31, 32, 33, 97}) {
+  for (const std::size_t cells : {1, 7, 31, 32, 33, 97, 513, 600}) {
     for (const std::size_t threads : {1, 3}) {
-      util::Rng rng(101 + cells);
-      const nn::Matrix sensors = random_sensors(cells, rng);
-      const nn::Matrix workload = random_workload(cells, rng);
-      const nn::Matrix fresh = random_sensors(1, rng);
-      const std::size_t reseeded[] = {cells / 2};
+      for (const bool clamp : {true, false}) {
+        util::Rng rng(101 + cells);
+        const nn::Matrix sensors = random_sensors(cells, rng);
+        const nn::Matrix workload = random_workload(cells, rng);
+        const nn::Matrix fresh = random_sensors(1, rng);
+        const std::size_t reseeded[] = {cells / 2};
 
-      FleetEngine engine(net, cells, {.threads = threads});
-      engine.init_from_sensors(sensors);
-      engine.step(workload);
-      engine.reseed_from_sensors(reseeded, fresh);
-      engine.step(workload);
-      engine.run(shared[0], shared[1], shared[2], 1);
+        FleetEngine engine(net, cells,
+                           {.threads = threads, .clamp_soc = clamp});
+        engine.init_from_sensors(sensors);
+        engine.step(workload);
+        engine.reseed_from_sensors(reseeded, fresh);
+        engine.step(workload);
+        engine.run(shared[0], shared[1], shared[2], 1);
 
-      for (std::size_t i = 0; i < cells; ++i) {
-        double soc = util::clamp01(net.estimate_soc(
-            sensors(i, 0), sensors(i, 1), sensors(i, 2), ws));
-        soc = util::clamp01(net.predict_soc(soc, workload(i, 0),
-                                            workload(i, 1), workload(i, 2),
-                                            ws));
-        if (i == reseeded[0]) {
-          soc = util::clamp01(
-              net.estimate_soc(fresh(0, 0), fresh(0, 1), fresh(0, 2), ws));
+        const auto keep = [clamp](double soc) {
+          return clamp ? util::clamp01(soc) : soc;
+        };
+        for (std::size_t i = 0; i < cells; ++i) {
+          double soc = keep(net.estimate_soc(sensors(i, 0), sensors(i, 1),
+                                             sensors(i, 2), ws));
+          soc = keep(net.predict_soc(soc, workload(i, 0), workload(i, 1),
+                                     workload(i, 2), ws));
+          if (i == reseeded[0]) {
+            soc = keep(
+                net.estimate_soc(fresh(0, 0), fresh(0, 1), fresh(0, 2), ws));
+          }
+          soc = keep(net.predict_soc(soc, workload(i, 0), workload(i, 1),
+                                     workload(i, 2), ws));
+          soc = keep(net.predict_soc(soc, shared[0], shared[1], shared[2], ws));
+          EXPECT_EQ(engine.soc()[i], soc)
+              << "cells " << cells << " threads " << threads << " clamp "
+              << clamp << " cell " << i;
         }
-        soc = util::clamp01(net.predict_soc(soc, workload(i, 0),
-                                            workload(i, 1), workload(i, 2),
-                                            ws));
-        soc = util::clamp01(
-            net.predict_soc(soc, shared[0], shared[1], shared[2], ws));
-        EXPECT_EQ(engine.soc()[i], soc)
-            << "cells " << cells << " threads " << threads << " cell " << i;
       }
     }
   }

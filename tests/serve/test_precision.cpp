@@ -11,12 +11,17 @@
 ///    contract as f64 (per-column panel results are independent of the
 ///    gathered batch width);
 ///  * the TwoBranchSnapshotT<double> instantiation reproduces the f64
-///    net's panel forwards bitwise, pinning the snapshot to the reference.
+///    net's panel forwards bitwise, pinning the snapshot to the reference;
+///  * the snapshot's column-blocked forward (nn::kColumnsBlock) is bitwise
+///    the unblocked chain at every width, at both precisions, and keeps
+///    every layer panel block-sized.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/net_snapshot.hpp"
@@ -42,43 +47,128 @@ void expect_soc_close(const core::Rollout& f32, const core::Rollout& f64,
   }
 }
 
+/// Feature-major copy of a row-major batch (rows -> columns) at T.
+template <typename T>
+nn::MatrixT<T> to_panel(const nn::Matrix& rows) {
+  nn::MatrixT<T> panel(rows.cols(), rows.rows());
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    for (std::size_t c = 0; c < rows.cols(); ++c) {
+      panel(c, r) = static_cast<T>(rows(r, c));
+    }
+  }
+  return panel;
+}
+
+/// Panel widths around the vectorized tile (32) and the serve forward's
+/// column block (nn::kColumnsBlock = 256): one block, the ragged and exact
+/// block edges, and multi-block panels with a ragged last block.
+constexpr std::size_t kParityWidths[] = {1,   31,  32,  33,  64,  70,  255, 256,
+                                         257, 511, 512, 513, 1000};
+
 TEST(SnapshotParity, DoubleSnapshotMatchesNetPanelsBitwise) {
+  static_assert(nn::kColumnsBlock == 256, "widths bracket the 256 block");
   const core::TwoBranchNet net = testing::make_fitted_net(61);
   const core::TwoBranchSnapshotT<double> snapshot(net);
   util::Rng rng(3);
-
-  // Branch 2: compare against the net's own feature-major panel path.
-  const nn::Matrix b2_rows = testing::random_branch2(70, rng);
-  nn::Matrix b2_cols(4, 70);
-  nn::MatrixT<double> b2_panel(4, 70);
-  for (std::size_t r = 0; r < 70; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      b2_cols(c, r) = b2_rows(r, c);
-      b2_panel(c, r) = b2_rows(r, c);
-    }
-  }
+  // One workspace per side across all widths, so blocked and unblocked
+  // forwards reuse each other's buffers as a serving shard's would.
   core::InferenceWorkspace ws;
   core::InferenceWorkspaceT<double> wst;
-  const nn::Matrix& expected = net.predict_batch_columns(b2_cols, ws);
-  const nn::MatrixT<double>& got = snapshot.predict_columns(b2_panel, wst);
-  ASSERT_EQ(got.cols(), expected.cols());
-  for (std::size_t j = 0; j < got.cols(); ++j) {
-    EXPECT_EQ(got(0, j), expected(0, j)) << "branch2 col " << j;
-  }
+  for (const std::size_t n : kParityWidths) {
+    // Branch 2: compare against the net's own feature-major panel path.
+    const nn::Matrix b2_rows = testing::random_branch2(n, rng);
+    nn::Matrix b2_cols;
+    nn::transpose_into(b2_rows, b2_cols);
+    const nn::Matrix& expected = net.predict_batch_columns(b2_cols, ws);
+    const nn::MatrixT<double>& got =
+        snapshot.predict_columns(to_panel<double>(b2_rows), wst);
+    ASSERT_EQ(got.rows(), 1u) << "width " << n;
+    ASSERT_EQ(got.cols(), expected.cols()) << "width " << n;
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(got(0, j), expected(0, j)) << "width " << n << " b2 col " << j;
+    }
 
-  // Branch 1: the row-major estimate on the transposed input — bitwise
-  // equal because the panel and row paths already agree bitwise in f64.
-  const nn::Matrix sensors = random_sensors(64, rng);
-  nn::MatrixT<double> sensors_panel(3, 64);
-  for (std::size_t r = 0; r < 64; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) sensors_panel(c, r) = sensors(r, c);
+    // Branch 1: the row-major estimate on the transposed input — bitwise
+    // equal because the panel and row paths already agree bitwise in f64.
+    const nn::Matrix sensors = random_sensors(n, rng);
+    const nn::Matrix& est = net.estimate_batch(sensors, ws);
+    const nn::MatrixT<double>& est_got =
+        snapshot.estimate_columns(to_panel<double>(sensors), wst);
+    ASSERT_EQ(est_got.cols(), n) << "width " << n;
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(est_got(0, r), est(r, 0)) << "width " << n << " b1 row " << r;
+    }
   }
-  const nn::Matrix& est = net.estimate_batch(sensors, ws);
-  const nn::MatrixT<double>& est_got =
-      snapshot.estimate_columns(sensors_panel, wst);
-  for (std::size_t r = 0; r < 64; ++r) {
-    EXPECT_EQ(est_got(0, r), est(r, 0)) << "branch1 row " << r;
+}
+
+TEST(SnapshotParity, FloatSnapshotMatchesUnblockedChainBitwise) {
+  // The f32 twin has no f64 reference to equal, so pin its column-blocked
+  // forward to the unblocked chain: whole-panel standardize, then one
+  // MlpSnapshotT pass over the full width.
+  const core::TwoBranchNet net = testing::make_fitted_net(61);
+  const core::TwoBranchSnapshotT<float> snapshot(net);
+  const auto mlp1 = nn::MlpSnapshotT<float>::from(net.branch1());
+  const auto mlp2 = nn::MlpSnapshotT<float>::from(net.branch2());
+  util::Rng rng(5);
+  core::InferenceWorkspaceT<float> wst;
+  nn::ForwardWorkspaceT<float> ref_ws;
+  nn::MatrixT<float> ref_scaled;
+  for (const std::size_t n : kParityWidths) {
+    const nn::MatrixT<float> b2 =
+        to_panel<float>(testing::random_branch2(n, rng));
+    snapshot.scaler2().transform_columns_into(b2, ref_scaled);
+    const nn::MatrixT<float>& want2 = mlp2.infer_columns(ref_scaled, ref_ws);
+    const nn::MatrixT<float>& got2 = snapshot.predict_columns(b2, wst);
+    ASSERT_EQ(got2.rows(), want2.rows()) << "width " << n;
+    ASSERT_EQ(got2.cols(), want2.cols()) << "width " << n;
+    EXPECT_EQ(std::memcmp(got2.data().data(), want2.data().data(),
+                          want2.size() * sizeof(float)),
+              0)
+        << "branch2 width " << n;
+
+    const nn::MatrixT<float> sensors = to_panel<float>(random_sensors(n, rng));
+    snapshot.scaler1().transform_columns_into(sensors, ref_scaled);
+    const nn::MatrixT<float>& want1 = mlp1.infer_columns(ref_scaled, ref_ws);
+    const nn::MatrixT<float>& got1 = snapshot.estimate_columns(sensors, wst);
+    ASSERT_EQ(got1.cols(), want1.cols()) << "width " << n;
+    EXPECT_EQ(std::memcmp(got1.data().data(), want1.data().data(),
+                          want1.size() * sizeof(float)),
+              0)
+        << "branch1 width " << n;
   }
+}
+
+/// After a fleet_bulk-wide forward, every layer panel of both branches and
+/// the standardize staging must hold at most rows x nn::kColumnsBlock
+/// elements — the cache footprint the column blocking exists for. A
+/// regression to shard-wide panels fails here, not only in the benchmark.
+template <typename T>
+void expect_block_sized_panels(const core::TwoBranchNet& net) {
+  constexpr std::size_t kShard = 16384;
+  const core::TwoBranchSnapshotT<T> snapshot(net);
+  util::Rng rng(7);
+  core::InferenceWorkspaceT<T> ws;
+  const nn::MatrixT<T> b2 = to_panel<T>(testing::random_branch2(kShard, rng));
+  EXPECT_EQ(snapshot.predict_columns(b2, ws).cols(), kShard);
+  const nn::MatrixT<T> sensors = to_panel<T>(random_sensors(kShard, rng));
+  EXPECT_EQ(snapshot.estimate_columns(sensors, ws).cols(), kShard);
+
+  EXPECT_LE(ws.scaled.cols(), nn::kColumnsBlock);
+  const std::pair<const nn::Mlp*, nn::ForwardWorkspaceT<T>*> branches[] = {
+      {&net.branch1(), &ws.branch1}, {&net.branch2(), &ws.branch2}};
+  for (const auto& [mlp, fw] : branches) {
+    ASSERT_GE(fw->num_buffers(), mlp->num_layers());
+    for (std::size_t i = 0; i < mlp->num_layers(); ++i) {
+      EXPECT_LE(fw->buffer(i).cols(), nn::kColumnsBlock)
+          << "layer " << i << " holds a shard-wide panel";
+    }
+  }
+}
+
+TEST(SnapshotParity, ColumnBlockedForwardKeepsLayerPanelsBlockSized) {
+  const core::TwoBranchNet net = testing::make_fitted_net(61);
+  expect_block_sized_panels<double>(net);
+  expect_block_sized_panels<float>(net);
 }
 
 TEST(SnapshotParity, RequiresFittedScalers) {
