@@ -77,7 +77,8 @@ Scores run_config(const data::LgDataset& dataset,
   (void)core::train_branch2(net, b2_train, physics, train);
 
   Scores scores;
-  scores.estimation_mae = nn::mae(net.estimate_batch(b1_test.x), b1_test.y);
+  scores.estimation_mae = nn::mae(core::estimate_dataset(net, b1_test.x),
+                                  b1_test.y.data());
   const core::HorizonPrediction pred = core::predict_cascade(net, eval);
   scores.prediction_mae = nn::mae(pred.soc_pred, eval.target);
   scores.params = net.num_params();

@@ -26,26 +26,59 @@ namespace {
 using namespace socpinn;
 using benchsupport::shared_net;
 
+/// Feature-major image of a row-major batch: rows (batch x features) ->
+/// a features x batch panel at T, the staging of the serve engines.
+template <typename T>
+nn::MatrixT<T> to_panel(const nn::Matrix& rows) {
+  nn::MatrixT<T> panel(rows.cols(), rows.rows());
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    for (std::size_t c = 0; c < rows.cols(); ++c) {
+      panel(c, r) = static_cast<T>(rows(r, c));
+    }
+  }
+  return panel;
+}
+
 /// Raw Branch-2 inputs staged as the serve engines stage them: a 4 x batch
-/// feature-major panel (f64 Matrix and its f32 image).
+/// feature-major panel at f64 and its f32 image.
 struct PanelFixture {
-  nn::Matrix cols;        ///< 4 x batch, f64
-  nn::MatrixT<float> f32; ///< 4 x batch, converted once
+  nn::MatrixT<double> f64;
+  nn::MatrixT<float> f32;
 };
 
 PanelFixture branch2_panel(std::size_t batch, std::uint64_t seed) {
   util::Rng rng(seed);
   const nn::Matrix rows = socpinn::testing::random_branch2(batch, rng);
-  PanelFixture fx;
-  fx.cols = nn::Matrix(4, batch);
-  fx.f32.resize(4, batch);
-  for (std::size_t r = 0; r < batch; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      fx.cols(c, r) = rows(r, c);
-      fx.f32(c, r) = static_cast<float>(rows(r, c));
-    }
+  return {to_panel<double>(rows), to_panel<float>(rows)};
+}
+
+/// One cascade batch as panels: 3 x batch sensors and a 4 x batch Branch-2
+/// panel whose workload rows 1..3 are staged once; row 0 takes each
+/// cascade's Branch-1 estimates.
+struct CascadeFixture {
+  nn::MatrixT<double> sensors;
+  nn::MatrixT<double> branch2;
+};
+
+CascadeFixture cascade_panels(const nn::Matrix& sensors,
+                              const nn::Matrix& workload) {
+  CascadeFixture fx{to_panel<double>(sensors),
+                    nn::MatrixT<double>(4, sensors.rows())};
+  for (std::size_t j = 0; j < workload.rows(); ++j) {
+    for (std::size_t c = 0; c < 3; ++c) fx.branch2(c + 1, j) = workload(j, c);
   }
   return fx;
+}
+
+/// The batched f64 cascade through the serving snapshot: Branch-1 panel,
+/// its estimates into the Branch-2 panel, Branch-2 panel. Returns the
+/// first prediction.
+double snapshot_cascade(const core::TwoBranchSnapshotT<double>& snapshot,
+                        CascadeFixture& fx,
+                        core::InferenceWorkspaceT<double>& ws) {
+  const nn::MatrixT<double>& soc = snapshot.estimate_columns(fx.sensors, ws);
+  for (std::size_t j = 0; j < soc.cols(); ++j) fx.branch2(0, j) = soc(0, j);
+  return snapshot.predict_columns(fx.branch2, ws)(0, 0);
 }
 
 /// Median-of-5 wall time of `reps` calls to `body`, in seconds. Every
@@ -113,16 +146,18 @@ using benchsupport::random_sensors;
 using benchsupport::random_workload;
 
 void BM_CascadeBatched(benchmark::State& state) {
-  // The refactor's one true forward path: full cascade for a whole batch
-  // through a reused workspace — allocation-free after warm-up.
-  core::TwoBranchNet& net = shared_net();
+  // The one batched forward: full cascade for a whole batch through the
+  // f64 serving snapshot and a reused workspace — allocation-free after
+  // warm-up.
+  const core::TwoBranchSnapshotT<double> snapshot(shared_net());
   const auto batch = static_cast<std::size_t>(state.range(0));
   util::Rng rng(7);
   const nn::Matrix sensors = random_sensors(batch, rng);
   const nn::Matrix workload = random_workload(batch, rng);
-  core::InferenceWorkspace ws;
+  CascadeFixture fx = cascade_panels(sensors, workload);
+  core::InferenceWorkspaceT<double> ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.cascade_batch(sensors, workload, ws)(0, 0));
+    benchmark::DoNotOptimize(snapshot_cascade(snapshot, fx, ws));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
@@ -130,7 +165,7 @@ void BM_CascadeBatched(benchmark::State& state) {
 BENCHMARK(BM_CascadeBatched)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_CascadePerSampleLoop(benchmark::State& state) {
-  // The pre-refactor pattern: one scalar cascade per sample in a loop.
+  // The scalar reference: one cascade per sample in a loop.
   core::TwoBranchNet& net = shared_net();
   const auto batch = static_cast<std::size_t>(state.range(0));
   util::Rng rng(7);
@@ -155,12 +190,12 @@ BENCHMARK(BM_CascadePerSampleLoop)->Arg(256);
 void BM_PredictPanelF64(benchmark::State& state) {
   // The serve seam at f64: one Branch-2 feature-major panel forward, the
   // per-step hot path of RolloutEngine/FleetEngine.
-  core::TwoBranchNet& net = shared_net();
+  const core::TwoBranchSnapshotT<double> snapshot(shared_net());
   const auto batch = static_cast<std::size_t>(state.range(0));
   const PanelFixture fx = branch2_panel(batch, 7);
-  core::InferenceWorkspace ws;
+  core::InferenceWorkspaceT<double> ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.predict_batch_columns(fx.cols, ws)(0, 0));
+    benchmark::DoNotOptimize(snapshot.predict_columns(fx.f64, ws)(0, 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
@@ -235,25 +270,29 @@ void emit_bench_json(const char* path, const int kReps) {
   const nn::Matrix sensors = random_sensors(kBatch, rng);
   const nn::Matrix workload = random_workload(kBatch, rng);
   core::InferenceWorkspace ws;
+  const core::TwoBranchSnapshotT<double> snapshot64(net);
+  core::InferenceWorkspaceT<double> ws64;
+  CascadeFixture cascade = cascade_panels(sensors, workload);
   const double samples = static_cast<double>(kBatch) * kReps;
   double acc = 0.0;
 
-  // Batched cascade through the reused workspace. The allocation counter
-  // spans all 5 repetitions (the per-forward number divides by 5 * kReps).
+  // Batched cascade through the f64 snapshot and a reused workspace. The
+  // allocation counter spans all 5 repetitions (the per-forward number
+  // divides by 5 * kReps).
   for (int i = 0; i < 10; ++i) {
-    acc += net.cascade_batch(sensors, workload, ws)(0, 0);  // warm-up
+    acc += snapshot_cascade(snapshot64, cascade, ws64);  // warm-up
   }
   const std::size_t allocs_before = benchsupport::alloc_count();
   const double batched_ns =
       median5_seconds(kReps,
                       [&] {
-                        acc += net.cascade_batch(sensors, workload, ws)(0, 0);
+                        acc += snapshot_cascade(snapshot64, cascade, ws64);
                       }) *
       1e9 / samples;
   const std::size_t batched_allocs =
       benchsupport::alloc_count() - allocs_before;
 
-  // Per-sample loop over the workspace-backed scalar wrappers.
+  // Per-sample loop over the scalar reference (estimate_soc/predict_soc).
   const double scalar_ns =
       median5_seconds(kReps / 10,
                       [&] {
@@ -285,7 +324,7 @@ void emit_bench_json(const char* path, const int kReps) {
       1e9 / (samples / 10.0);
 
   // f32 serve backend vs the f64 panel at the serve seam, batch 64 and
-  // 256 — the ROADMAP's "2x SIMD width" claim, measured. Both paths run
+  // 256 — the ROADMAP's "2x SIMD width" claim, measured. Both snapshots run
   // the identical feature-major Branch-2 forward (standardize + 4 panels).
   const core::TwoBranchSnapshotF32 snapshot(net);
   core::InferenceWorkspaceT<float> ws32;
@@ -296,13 +335,13 @@ void emit_bench_json(const char* path, const int kReps) {
     const std::size_t batch = panel_batches[bi];
     const PanelFixture fx = branch2_panel(batch, 11);
     for (int i = 0; i < 10; ++i) {  // warm-up both workspaces
-      acc += net.predict_batch_columns(fx.cols, ws)(0, 0);
+      acc += snapshot64.predict_columns(fx.f64, ws64)(0, 0);
       acc += static_cast<double>(snapshot.predict_columns(fx.f32, ws32)(0, 0));
     }
     panel_ns[bi][0] =
         median5_seconds(panel_reps,
                         [&] {
-                          acc += net.predict_batch_columns(fx.cols, ws)(0, 0);
+                          acc += snapshot64.predict_columns(fx.f64, ws64)(0, 0);
                         }) *
         1e9 / (static_cast<double>(batch) * panel_reps);
     panel_ns[bi][1] =
@@ -317,7 +356,7 @@ void emit_bench_json(const char* path, const int kReps) {
   double f32_max_abs_diff = 0.0;
   {
     const PanelFixture fx = branch2_panel(256, 11);
-    const nn::Matrix& ref = net.predict_batch_columns(fx.cols, ws);
+    const nn::MatrixT<double>& ref = snapshot64.predict_columns(fx.f64, ws64);
     const nn::MatrixT<float>& got = snapshot.predict_columns(fx.f32, ws32);
     for (std::size_t j = 0; j < ref.cols(); ++j) {
       const double diff =

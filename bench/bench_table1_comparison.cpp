@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
     const std::string temp = util::format_double(split.temp_c, 0);
 
     auto add_two_branch = [&](const char* label, core::TrainedModel& model) {
-      const double est =
-          nn::mae(model.net.estimate_batch(b1_data.x), b1_data.y);
+      const double est = nn::mae(core::estimate_dataset(model.net, b1_data.x),
+                                 b1_data.y.data());
       const core::HorizonPrediction pred =
           core::predict_cascade(model.net, eval);
       table.add_row({label, temp, util::format_double(est, 4),

@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   const std::span<const data::Trace> tests(setup.test_traces);
   const auto b1_test = data::build_branch1_data(tests);
   std::printf("SoC(t) estimation MAE  (test): %.4f\n",
-              nn::mae(model.net.estimate_batch(b1_test.x), b1_test.y));
+              nn::mae(core::estimate_dataset(model.net, b1_test.x),
+                      b1_test.y.data()));
   for (double horizon : {120.0, 240.0, 360.0}) {
     const auto eval = data::build_horizon_eval(tests, horizon);
     const core::HorizonPrediction pred =

@@ -5,6 +5,7 @@
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/panel.hpp"
 
 namespace socpinn::baselines {
 
@@ -139,25 +140,23 @@ std::vector<double> DeMlpEstimator::predict(const data::Trace& trace,
   }
   if (stride == 0) throw std::invalid_argument("predict: stride 0");
   const std::size_t n = (trace.size() + stride - 1) / stride;
-  std::vector<double> out;
-  out.reserve(n);
-  if (n == 0) return out;
+  if (n == 0) return {};
 
-  // One batched forward over every stride-th sample instead of a
-  // per-sample loop.
-  nn::Matrix raw(n, 3);
-  std::size_t r = 0;
-  for (std::size_t t = 0; t < trace.size(); t += stride, ++r) {
-    raw(r, 0) = trace[t].voltage;
-    raw(r, 1) = trace[t].current;
-    raw(r, 2) = trace[t].temp_c;
+  // One batched forward over every stride-th sample through the f64 panel
+  // snapshot: a feature-major 3 x n panel, standardized, then the net.
+  nn::MatrixT<double> raw(3, n);
+  std::size_t j = 0;
+  for (std::size_t t = 0; t < trace.size(); t += stride, ++j) {
+    raw(0, j) = trace[t].voltage;
+    raw(1, j) = trace[t].current;
+    raw(2, j) = trace[t].temp_c;
   }
-  nn::ForwardWorkspace ws;
-  nn::Matrix scaled;
-  scaler_.transform_into(raw, scaled);
-  const nn::Matrix& pred = net_.infer(scaled, ws);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(pred(i, 0));
-  return out;
+  nn::MatrixT<double> scaled;
+  nn::ScalerStatsT<double>::from(scaler_).transform_columns_into(raw, scaled);
+  nn::ForwardWorkspaceT<double> ws;
+  const auto pred =
+      nn::MlpSnapshotT<double>::from(net_).infer_columns(scaled, ws).data();
+  return {pred.begin(), pred.end()};
 }
 
 double DeMlpEstimator::evaluate_mae(std::span<const data::Trace> traces,

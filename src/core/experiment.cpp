@@ -82,8 +82,8 @@ std::vector<VariantResult> run_horizon_experiment(
     // Branch 1 is the same for every variant: train once per seed.
     TwoBranchNet base_net(TwoBranchConfig{}, seed);
     (void)train_branch1(base_net, b1_train, train);
-    const nn::Matrix est = base_net.estimate_batch(b1_test.x);
-    const double est_mae = nn::mae(est, b1_test.y);
+    const double est_mae =
+        nn::mae(estimate_dataset(base_net, b1_test.x), b1_test.y.data());
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
       const VariantSpec& spec = variants[v];

@@ -5,8 +5,11 @@
 ///
 /// TwoBranchSnapshotT<T> captures both branches' weights and scaler
 /// moments ONCE (at load), converted to T, and serves them through the
-/// feature-major panel kernels. Instantiated at double it reproduces the
-/// net's own forwards bitwise (tests/serve/test_precision.cpp); at float
+/// feature-major panel kernels. TwoBranchSnapshotT<double> is the only
+/// batched f64 forward: the engines serve it and whole-dataset evaluation
+/// (core/predictor.hpp) runs it. It reproduces the net's per-sample
+/// scalar reference (estimate_soc / predict_soc) bitwise
+/// (tests/serve/test_precision.cpp); at float
 /// — the paper's embedded-BMS pitch: train in f64, deploy inference in
 /// f32 — it tracks f64 within ~1e-5 SoC on the paper's traces (far below
 /// the ~1-2% RMSE signal) at roughly twice the panel throughput. The
@@ -31,9 +34,8 @@ enum class Precision {
   kFloat32,
 };
 
-/// Caller-owned scratch for allocation-free snapshot inference — the
-/// templated twin of InferenceWorkspace (per-branch panel buffers plus the
-/// standardize staging).
+/// Caller-owned scratch for allocation-free snapshot inference: per-branch
+/// panel buffers plus the standardize staging.
 template <typename T>
 struct InferenceWorkspaceT {
   nn::ForwardWorkspaceT<T> branch1;
@@ -57,7 +59,7 @@ template <typename T>
 class TwoBranchSnapshotT {
  public:
   /// Converts weights and scaler stats once. Requires fitted scalers
-  /// (throws std::logic_error otherwise, like the f64 inference path).
+  /// (throws std::logic_error otherwise, like the scalar reference).
   explicit TwoBranchSnapshotT(const TwoBranchNet& net)
       : branch1_(nn::MlpSnapshotT<T>::from(net.branch1())),
         branch2_(nn::MlpSnapshotT<T>::from(net.branch2())),

@@ -2,54 +2,87 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "core/net_snapshot.hpp"
 #include "serve/rollout_engine.hpp"
 
 namespace socpinn::core {
 
+namespace {
+
+/// Feature-major image of a row-major batch, as the engines stage one:
+/// rows (n x features) -> a features x n panel.
+nn::MatrixT<double> to_columns(const nn::Matrix& rows) {
+  nn::MatrixT<double> panel(rows.cols(), rows.rows());
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    for (std::size_t c = 0; c < rows.cols(); ++c) panel(c, r) = rows(r, c);
+  }
+  return panel;
+}
+
+/// The checks both horizon predictors share: a non-empty set whose
+/// workload holds one [avg I, avg T, N] row per sensor row.
+void require_eval(const data::HorizonEvalData& eval, const std::string& who) {
+  if (eval.size() == 0) throw std::invalid_argument(who + ": empty eval set");
+  if (eval.workload.rows() != eval.size() || eval.workload.cols() != 3) {
+    throw std::invalid_argument(who + ": workload must be n x 3");
+  }
+}
+
+}  // namespace
+
+std::vector<double> estimate_dataset(const TwoBranchNet& net,
+                                     const nn::Matrix& sensors) {
+  // Branch 1 alone, so a net whose Branch 2 is untrained (Physics-Only)
+  // evaluates too.
+  nn::MatrixT<double> scaled;
+  nn::ScalerStatsT<double>::from(net.scaler1())
+      .transform_columns_into(to_columns(sensors), scaled);
+  nn::ForwardWorkspaceT<double> ws;
+  const auto est = nn::MlpSnapshotT<double>::from(net.branch1())
+                       .infer_columns(scaled, ws)
+                       .data();
+  return {est.begin(), est.end()};
+}
+
 HorizonPrediction predict_cascade(const TwoBranchNet& net,
                                   const data::HorizonEvalData& eval) {
+  require_eval(eval, "predict_cascade");
   const std::size_t n = eval.size();
-  if (n == 0) throw std::invalid_argument("predict_cascade: empty eval set");
-
-  InferenceWorkspace ws;
-  // Branch-1 output lives in ws.branch1 and stays valid through the
-  // Branch-2 forward below (documented workspace contract).
-  const nn::Matrix& soc_est = net.estimate_batch(eval.sensors, ws);
-  nn::Matrix b2_raw(n, 4);
+  const TwoBranchSnapshotT<double> snapshot(net);
+  InferenceWorkspaceT<double> ws;
+  // The Branch-1 panel lives in ws.branch1 and stays valid through the
+  // Branch-2 forward, which uses ws.branch2.
+  const nn::MatrixT<double>& soc_now =
+      snapshot.estimate_columns(to_columns(eval.sensors), ws);
+  nn::MatrixT<double> b2(4, n);
   for (std::size_t r = 0; r < n; ++r) {
-    b2_raw(r, 0) = soc_est(r, 0);
-    b2_raw(r, 1) = eval.workload(r, 0);
-    b2_raw(r, 2) = eval.workload(r, 1);
-    b2_raw(r, 3) = eval.workload(r, 2);
+    b2(0, r) = soc_now(0, r);
+    b2(1, r) = eval.workload(r, 0);
+    b2(2, r) = eval.workload(r, 1);
+    b2(3, r) = eval.workload(r, 2);
   }
-  const nn::Matrix& pred = net.predict_batch(b2_raw, ws);
+  const auto pred = snapshot.predict_columns(b2, ws).data();
 
   HorizonPrediction out;
-  out.soc_now_est.reserve(n);
-  out.soc_pred.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    out.soc_now_est.push_back(b2_raw(r, 0));
-    out.soc_pred.push_back(pred(r, 0));
-  }
+  out.soc_now_est.assign(soc_now.data().begin(), soc_now.data().end());
+  out.soc_pred.assign(pred.begin(), pred.end());
   return out;
 }
 
 HorizonPrediction predict_physics_only(const TwoBranchNet& net,
                                        const data::HorizonEvalData& eval,
                                        const CellParams& params) {
-  const std::size_t n = eval.size();
-  if (n == 0) throw std::invalid_argument("predict_physics_only: empty set");
+  require_eval(eval, "predict_physics_only");
   validate(params, "predict_physics_only");
 
-  InferenceWorkspace ws;
-  const nn::Matrix& soc_est = net.estimate_batch(eval.sensors, ws);
   HorizonPrediction out;
-  out.soc_now_est.reserve(n);
-  out.soc_pred.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    out.soc_now_est.push_back(soc_est(r, 0));
-    out.soc_pred.push_back(eq1_predict(soc_est(r, 0), eval.workload(r, 0),
+  out.soc_now_est = estimate_dataset(net, eval.sensors);
+  out.soc_pred.reserve(eval.size());
+  for (std::size_t r = 0; r < eval.size(); ++r) {
+    out.soc_pred.push_back(eq1_predict(out.soc_now_est[r],
+                                       eval.workload(r, 0),
                                        eval.workload(r, 2), params));
   }
   return out;

@@ -3,7 +3,9 @@
 /// Inference paths of the cascaded model:
 ///
 ///  * single-step cascade (Branch 1 estimate feeds Branch 2) — the test
-///    condition of Figs. 3 and 4;
+///    condition of Figs. 3 and 4 — and whole-dataset Branch-1 estimates,
+///    both through the f64 serving snapshot (TwoBranchSnapshotT<double>),
+///    so the paper's numbers come from the code that serves;
 ///  * the Physics-Only baseline (Branch 2 replaced by Eq. 1);
 ///  * autoregressive multi-step rollout (Fig. 2) used for the full
 ///    discharge analysis of Fig. 5, where voltage is consumed only at the
@@ -23,14 +25,24 @@ struct HorizonPrediction {
   std::vector<double> soc_pred;     ///< predicted SoC(t+N)
 };
 
+/// Branch-1 SoC(t) estimate of every raw sensor row (n x 3 [V, I, T]),
+/// bitwise the per-sample TwoBranchNet::estimate_soc. Requires a fitted
+/// Branch-1 scaler (throws std::logic_error otherwise); Branch 2 may be
+/// untrained.
+[[nodiscard]] std::vector<double> estimate_dataset(const TwoBranchNet& net,
+                                                   const nn::Matrix& sensors);
+
 /// Full cascaded prediction: SoC(t) from Branch 1, SoC(t+N) from Branch 2.
+/// Throws std::invalid_argument on an empty set or a workload that is not
+/// n x 3.
 [[nodiscard]] HorizonPrediction predict_cascade(
     const TwoBranchNet& net, const data::HorizonEvalData& eval);
 
 /// Physics-Only baseline: Branch 1 still estimates SoC(t), but the future
 /// value comes exclusively from Eq. 1 with the cell's parameters
 /// (capacity + coulombic efficiency; the default efficiency of 1.0
-/// reproduces the old rated-capacity-only form bitwise).
+/// reproduces the old rated-capacity-only form bitwise). Same input
+/// checks as predict_cascade.
 [[nodiscard]] HorizonPrediction predict_physics_only(
     const TwoBranchNet& net, const data::HorizonEvalData& eval,
     const CellParams& params);

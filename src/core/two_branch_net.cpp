@@ -1,6 +1,8 @@
 #include "core/two_branch_net.hpp"
 
+#include <iterator>
 #include <stdexcept>
+#include <string>
 
 namespace socpinn::core {
 
@@ -32,60 +34,70 @@ TwoBranchNet::TwoBranchNet(TwoBranchConfig config, std::uint64_t seed)
                            config_.activation);
 }
 
-const nn::Matrix& TwoBranchNet::estimate_batch(const nn::Matrix& sensors_raw,
-                                               InferenceWorkspace& ws) const {
-  scaler1_.transform_into(sensors_raw, ws.scaled);
-  return branch1_.infer(ws.scaled, ws.branch1);
+double TwoBranchNet::infer_row(const nn::Mlp& branch,
+                               const nn::StandardScaler& scaler,
+                               std::span<double> row,
+                               InferenceWorkspace& ws) {
+  scaler.transform_row(row);
+  const std::size_t need = branch.sample_scratch_size();
+  if (ws.scratch.size() < need) ws.scratch.resize(need);
+  return branch.infer_sample(row, ws.scratch)[0];
 }
 
-const nn::Matrix& TwoBranchNet::predict_batch(const nn::Matrix& branch2_raw,
-                                              InferenceWorkspace& ws) const {
-  scaler2_.transform_into(branch2_raw, ws.scaled);
-  return branch2_.infer(ws.scaled, ws.branch2);
-}
-
-const nn::Matrix& TwoBranchNet::predict_batch_columns(
-    const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const {
-  scaler2_.transform_columns_into(branch2_raw_columns, ws.scaled);
-  return branch2_.infer_columns(ws.scaled, ws.branch2);
-}
-
-const nn::Matrix& TwoBranchNet::cascade_batch(const nn::Matrix& sensors_raw,
-                                              const nn::Matrix& workload_raw,
-                                              InferenceWorkspace& ws) const {
-  const std::size_t n = sensors_raw.rows();
-  if (workload_raw.rows() != n || workload_raw.cols() != 3) {
-    throw std::invalid_argument("cascade_batch: workload must be n x 3");
+const nn::Matrix& TwoBranchNet::infer_batch(const nn::Mlp& branch,
+                                            const nn::StandardScaler& scaler,
+                                            const nn::Matrix& raw,
+                                            bool columns,
+                                            InferenceWorkspace& ws) {
+  const std::size_t features = columns ? raw.rows() : raw.cols();
+  const std::size_t n = columns ? raw.cols() : raw.rows();
+  double row[4];  // a branch takes 3 or 4 features
+  if (features != branch.input_dim() || features > std::size(row)) {
+    throw std::invalid_argument("TwoBranchNet: batch has " +
+                                std::to_string(features) +
+                                " features, the branch takes " +
+                                std::to_string(branch.input_dim()));
   }
-  const nn::Matrix& soc_now = estimate_batch(sensors_raw, ws);
-  ws.cascade.resize(n, 4);
-  for (std::size_t r = 0; r < n; ++r) {
-    ws.cascade(r, 0) = soc_now(r, 0);
-    ws.cascade(r, 1) = workload_raw(r, 0);
-    ws.cascade(r, 2) = workload_raw(r, 1);
-    ws.cascade(r, 3) = workload_raw(r, 2);
+  if (columns) {
+    ws.out.resize(1, n);
+  } else {
+    ws.out.resize(n, 1);
   }
-  return predict_batch(ws.cascade, ws);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t f = 0; f < features; ++f) {
+      row[f] = columns ? raw(f, i) : raw(i, f);
+    }
+    ws.out.data()[i] = infer_row(branch, scaler, {row, features}, ws);
+  }
+  return ws.out;
 }
 
 double TwoBranchNet::estimate_soc(double voltage, double current,
                                   double temp_c, InferenceWorkspace& ws) const {
-  ws.staging.resize(1, 3);
-  ws.staging(0, 0) = voltage;
-  ws.staging(0, 1) = current;
-  ws.staging(0, 2) = temp_c;
-  return estimate_batch(ws.staging, ws)(0, 0);
+  double row[] = {voltage, current, temp_c};
+  return infer_row(branch1_, scaler1_, row, ws);
 }
 
 double TwoBranchNet::predict_soc(double soc_now, double avg_current,
                                  double avg_temp_c, double horizon_s,
                                  InferenceWorkspace& ws) const {
-  ws.staging.resize(1, 4);
-  ws.staging(0, 0) = soc_now;
-  ws.staging(0, 1) = avg_current;
-  ws.staging(0, 2) = avg_temp_c;
-  ws.staging(0, 3) = horizon_s;
-  return predict_batch(ws.staging, ws)(0, 0);
+  double row[] = {soc_now, avg_current, avg_temp_c, horizon_s};
+  return infer_row(branch2_, scaler2_, row, ws);
+}
+
+const nn::Matrix& TwoBranchNet::estimate_batch(const nn::Matrix& sensors_raw,
+                                               InferenceWorkspace& ws) const {
+  return infer_batch(branch1_, scaler1_, sensors_raw, false, ws);
+}
+
+const nn::Matrix& TwoBranchNet::predict_batch(const nn::Matrix& branch2_raw,
+                                              InferenceWorkspace& ws) const {
+  return infer_batch(branch2_, scaler2_, branch2_raw, false, ws);
+}
+
+const nn::Matrix& TwoBranchNet::predict_batch_columns(
+    const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const {
+  return infer_batch(branch2_, scaler2_, branch2_raw_columns, true, ws);
 }
 
 double TwoBranchNet::estimate_soc(double voltage, double current,

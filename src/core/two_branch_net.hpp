@@ -13,12 +13,12 @@
 /// [0, 1]).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/cost_model.hpp"
 #include "nn/mlp.hpp"
 #include "nn/scaler.hpp"
-#include "nn/workspace.hpp"
 
 namespace socpinn::core {
 
@@ -27,16 +27,12 @@ struct TwoBranchConfig {
   nn::ActivationKind activation = nn::ActivationKind::kRelu;
 };
 
-/// Caller-owned scratch for allocation-free TwoBranchNet inference: per-layer
-/// activation buffers for both branches plus staging matrices for scaling and
-/// cascade assembly. Give each thread its own workspace; the net itself stays
-/// const and shareable.
+/// Caller-owned scratch for allocation-free TwoBranchNet inference. Give
+/// each thread its own workspace; the net itself stays const and
+/// shareable.
 struct InferenceWorkspace {
-  nn::ForwardWorkspace branch1;
-  nn::ForwardWorkspace branch2;
-  nn::Matrix scaled;   ///< standardized inputs of the current forward
-  nn::Matrix staging;  ///< raw batch-of-1 staging for the scalar wrappers
-  nn::Matrix cascade;  ///< assembled Branch-2 input of cascade_batch()
+  std::vector<double> scratch;  ///< activations of nn::Mlp::infer_sample
+  nn::Matrix out;               ///< result of the batched methods
 };
 
 class TwoBranchNet {
@@ -44,58 +40,45 @@ class TwoBranchNet {
   /// Builds both branches with independent weight streams from `seed`.
   explicit TwoBranchNet(TwoBranchConfig config = {}, std::uint64_t seed = 1);
 
-  /// --- The one true forward path: batched, const, allocation-free. ---
-  /// Inputs are raw (unscaled) feature matrices; returned references point
-  /// into `ws` and stay valid until its next use at the same branch.
-  /// Requires fitted scalers (training fits them).
+  /// --- Inference: the per-sample scalar reference. ---
+  /// Each sample is standardized with the branch's scaler, then run
+  /// through nn::Mlp::infer_sample. This is the oracle the batched serve
+  /// forward (TwoBranchSnapshotT<double>, which engines and whole-dataset
+  /// evaluation run) equals bitwise; it never touches a SIMD kernel. Const
+  /// and allocation-free once `ws` is warm. Requires fitted scalers
+  /// (throws std::logic_error otherwise; training fits them).
 
-  /// Branch-1 batch: n x 3 [V, I, T] -> n x 1 estimated SoC(t).
-  const nn::Matrix& estimate_batch(const nn::Matrix& sensors_raw,
-                                   InferenceWorkspace& ws) const;
-
-  /// Branch-2 batch: n x 4 [SoC, avg I, avg T, N] -> n x 1 SoC(t+N).
-  const nn::Matrix& predict_batch(const nn::Matrix& branch2_raw,
-                                  InferenceWorkspace& ws) const;
-
-  /// Feature-major Branch-2 batch for callers that keep lanes transposed:
-  /// `branch2_raw_columns` is 4 x n ([SoC; avg I; avg T; N] rows, batch as
-  /// the unit-stride axis), the result is the 1 x n prediction panel. Same
-  /// arithmetic as predict_batch — both layouts agree bitwise — without
-  /// the transpose round-trip; the per-step hot path of RolloutEngine and
-  /// FleetEngine.
-  const nn::Matrix& predict_batch_columns(
-      const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const;
-
-  /// Full cascade: Branch-1 estimates SoC(t) from sensors (n x 3), Branch 2
-  /// advances it under `workload_raw` (n x 3: avg I, avg T, horizon N).
-  /// Returns n x 1 SoC(t+N); the intermediate Branch-1 estimates remain
-  /// readable as the previous estimate_batch result inside `ws`.
-  const nn::Matrix& cascade_batch(const nn::Matrix& sensors_raw,
-                                  const nn::Matrix& workload_raw,
-                                  InferenceWorkspace& ws) const;
-
-  /// Const scalar variants: batch-of-1 wrappers over the batched path.
+  /// Branch 1: estimated SoC(t) from raw sensor readings.
   [[nodiscard]] double estimate_soc(double voltage, double current,
                                     double temp_c,
                                     InferenceWorkspace& ws) const;
+
+  /// Branch 2: predicted SoC(t+N) from the current SoC and the expected
+  /// workload.
   [[nodiscard]] double predict_soc(double soc_now, double avg_current,
                                    double avg_temp_c, double horizon_s,
                                    InferenceWorkspace& ws) const;
 
+  /// Loops of the scalar reference over a batch; the returned reference
+  /// points into `ws` until its next batched use.
+  /// Branch 1 over n x 3 [V, I, T] rows -> n x 1 SoC(t).
+  const nn::Matrix& estimate_batch(const nn::Matrix& sensors_raw,
+                                   InferenceWorkspace& ws) const;
+  /// Branch 2 over n x 4 [SoC, avg I, avg T, N] rows -> n x 1 SoC(t+N).
+  const nn::Matrix& predict_batch(const nn::Matrix& branch2_raw,
+                                  InferenceWorkspace& ws) const;
+  /// Branch 2 over a feature-major 4 x n panel ([SoC; avg I; avg T; N]
+  /// rows, one column per sample) -> 1 x n SoC(t+N).
+  const nn::Matrix& predict_batch_columns(
+      const nn::Matrix& branch2_raw_columns, InferenceWorkspace& ws) const;
+
   /// --- Convenience wrappers using the net's own workspace. ---
   /// Not safe for concurrent use on one instance; prefer the const
   /// overloads above with per-thread workspaces.
-
-  /// Branch-1 inference: estimated SoC(t) from raw sensor readings.
   [[nodiscard]] double estimate_soc(double voltage, double current,
                                     double temp_c);
-
-  /// Branch-2 inference: predicted SoC(t+N) from the current SoC and the
-  /// expected workload.
   [[nodiscard]] double predict_soc(double soc_now, double avg_current,
                                    double avg_temp_c, double horizon_s);
-
-  /// Batched variants returning owned copies of the workspace result.
   [[nodiscard]] nn::Matrix estimate_batch(const nn::Matrix& sensors_raw);
   [[nodiscard]] nn::Matrix predict_batch(const nn::Matrix& branch2_raw);
 
@@ -123,6 +106,19 @@ class TwoBranchNet {
   nn::StandardScaler scaler1_;
   nn::StandardScaler scaler2_;
   InferenceWorkspace ws_;  ///< backs the convenience wrappers only
+
+  /// Standardizes `row` in place with `scaler`, then runs `branch`'s
+  /// reference forward; returns its scalar output.
+  static double infer_row(const nn::Mlp& branch,
+                          const nn::StandardScaler& scaler,
+                          std::span<double> row, InferenceWorkspace& ws);
+
+  /// infer_row over every sample of `raw`: rows of a row-major batch, or
+  /// columns of a feature-major panel when `columns` is set.
+  static const nn::Matrix& infer_batch(const nn::Mlp& branch,
+                                       const nn::StandardScaler& scaler,
+                                       const nn::Matrix& raw, bool columns,
+                                       InferenceWorkspace& ws);
 };
 
 }  // namespace socpinn::core

@@ -5,6 +5,7 @@
 /// LSTM baseline and ablations.
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "nn/layer.hpp"
@@ -24,13 +25,17 @@ enum class ActivationKind { kRelu, kLeakyRelu, kTanh, kSigmoid, kIdentity };
 [[nodiscard]] double activate(ActivationKind kind, double x);
 [[nodiscard]] double activate_grad(ActivationKind kind, double x, double y);
 
+/// activate() applied to every element of x in place, with the kind
+/// switch hoisted out of the loop: the forward of the Activation layer and
+/// of Mlp::infer_sample.
+void activate_inplace(ActivationKind kind, std::span<double> x);
+
 class Activation final : public Layer {
  public:
   explicit Activation(ActivationKind kind) : kind_(kind) {}
 
   Matrix forward(const Matrix& input, bool train) override;
   Matrix backward(const Matrix& grad_output) override;
-  void infer_into(const Matrix& input, Matrix& out) const override;
 
   [[nodiscard]] std::string name() const override { return to_string(kind_); }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

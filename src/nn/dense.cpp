@@ -27,24 +27,6 @@ Matrix Dense::forward(const Matrix& input, bool /*train*/) {
   return out;
 }
 
-void Dense::infer_into(const Matrix& input, Matrix& out) const {
-  if (input.cols() != w_.rows()) {
-    throw std::invalid_argument("Dense::infer_into: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(w_.rows()));
-  }
-  matmul_bias_into(input, w_, b_, out);
-}
-
-void Dense::infer_columns(const Matrix& input, Matrix& out) const {
-  if (input.rows() != w_.rows()) {
-    throw std::invalid_argument("Dense::infer_columns: input features " +
-                                std::to_string(input.rows()) + " != " +
-                                std::to_string(w_.rows()));
-  }
-  dense_forward_columns(input, w_, b_, out);
-}
-
 Matrix Dense::backward(const Matrix& grad_output) {
   if (grad_output.rows() != cached_input_.rows() ||
       grad_output.cols() != w_.cols()) {

@@ -24,12 +24,6 @@ Matrix Dropout::forward(const Matrix& input, bool train) {
   return hadamard(input, mask_);
 }
 
-void Dropout::infer_into(const Matrix& input, Matrix& out) const {
-  // Inference-time dropout is the identity (inverted dropout rescales at
-  // training time instead).
-  copy_into(input, out);
-}
-
 Matrix Dropout::backward(const Matrix& grad_output) {
   if (grad_output.rows() != mask_.rows() ||
       grad_output.cols() != mask_.cols()) {

@@ -18,7 +18,6 @@ class Dropout final : public Layer {
 
   Matrix forward(const Matrix& input, bool train) override;
   Matrix backward(const Matrix& grad_output) override;
-  void infer_into(const Matrix& input, Matrix& out) const override;
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

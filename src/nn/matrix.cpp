@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/panel_dispatch.hpp"
-
 namespace socpinn::nn {
 
 namespace {
@@ -131,113 +129,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
     }
   }
   return c;
-}
-
-namespace {
-
-/// Shared kernel of matmul_into / matmul_bias_into: each output row starts
-/// from `init` (zeros or a broadcast bias row) and accumulates rank-1
-/// updates in ascending-k order. Raw restrict pointers let the j loop
-/// vectorize; `noclone` keeps GCC from constant-propagating the tiny layer
-/// widths into specialized clones (whose interleaving vectorization is
-/// dramatically slower for these shapes than the plain saxpy form).
-__attribute__((noinline, noclone)) void matmul_rows(
-    const double* __restrict a, const double* __restrict b,
-    const double* __restrict init, double* __restrict out, std::size_t rows,
-    std::size_t inner, std::size_t cols) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* __restrict a_row = a + i * inner;
-    double* __restrict out_row = out + i * cols;
-    if (init == nullptr) {
-      for (std::size_t j = 0; j < cols; ++j) out_row[j] = 0.0;
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) out_row[j] = init[j];
-    }
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double aik = a_row[k];
-      const double* __restrict b_row = b + k * cols;
-      for (std::size_t j = 0; j < cols; ++j) {
-        out_row[j] += aik * b_row[j];
-      }
-    }
-  }
-}
-
-void matmul_rows(const Matrix& a, const Matrix& b, const double* init,
-                 Matrix& out) {
-  matmul_rows(a.data().data(), b.data().data(), init, out.data().data(),
-              a.rows(), a.cols(), b.cols());
-}
-
-}  // namespace
-
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul_into: inner dimension mismatch");
-  }
-  if (&out == &a || &out == &b) {
-    throw std::invalid_argument("matmul_into: out must not alias an input");
-  }
-  out.resize(a.rows(), b.cols());
-  matmul_rows(a, b, nullptr, out);
-}
-
-void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias_row,
-                      Matrix& out) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul_bias_into: inner dimension mismatch");
-  }
-  if (bias_row.rows() != 1 || bias_row.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_bias_into: bias shape mismatch");
-  }
-  if (&out == &a || &out == &b || &out == &bias_row) {
-    throw std::invalid_argument("matmul_bias_into: out must not alias input");
-  }
-  out.resize(a.rows(), b.cols());
-  matmul_rows(a, b, bias_row.data().data(), out);
-}
-
-void copy_into(const Matrix& src, Matrix& dst) {
-  dst.resize(src.rows(), src.cols());
-  const auto s = src.data();
-  const auto d = dst.data();
-  for (std::size_t i = 0; i < s.size(); ++i) d[i] = s[i];
-}
-
-void transpose_into(const Matrix& src, Matrix& dst) {
-  if (&src == &dst) {
-    throw std::invalid_argument("transpose_into: dst must not alias src");
-  }
-  dst.resize(src.cols(), src.rows());
-  for (std::size_t r = 0; r < src.rows(); ++r) {
-    for (std::size_t c = 0; c < src.cols(); ++c) {
-      dst(c, r) = src(r, c);
-    }
-  }
-}
-
-void dense_forward_columns(const Matrix& activations, const Matrix& weights,
-                           const Matrix& bias_row, Matrix& out) {
-  if (activations.rows() != weights.rows()) {
-    throw std::invalid_argument(
-        "dense_forward_columns: feature dimension mismatch");
-  }
-  if (bias_row.rows() != 1 || bias_row.cols() != weights.cols()) {
-    throw std::invalid_argument("dense_forward_columns: bias shape mismatch");
-  }
-  if (&out == &activations || &out == &weights || &out == &bias_row) {
-    throw std::invalid_argument(
-        "dense_forward_columns: out must not alias an input");
-  }
-  out.resize(weights.cols(), activations.cols());
-  // Runtime-ISA dispatch (nn/panel_dispatch.hpp): the resolved kernel —
-  // the AVX-512/AVX2/NEON vector kernel or the scalar template — is bitwise
-  // identical to the scalar reference at f64, so dispatch changes
-  // throughput, never results.
-  simd::dense_columns<double>(activations.data().data(),
-                              weights.data().data(), bias_row.data().data(),
-                              out.data().data(), weights.rows(),
-                              weights.cols(), activations.cols());
 }
 
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b) {

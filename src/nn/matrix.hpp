@@ -99,35 +99,6 @@ class Matrix {
 /// C = A * B. Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// out = A * B, written in place. `out` is resized (capacity reused) so the
-/// steady state performs no heap allocation. `out` must not alias a or b.
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = A * B + bias (1 x cols row broadcast to every output row), fused so
-/// the bias pass costs no extra sweep over `out`. Same aliasing and
-/// allocation rules as matmul_into.
-void matmul_bias_into(const Matrix& a, const Matrix& b,
-                      const Matrix& bias_row, Matrix& out);
-
-/// Copies src into dst, resizing dst with capacity reuse.
-void copy_into(const Matrix& src, Matrix& dst);
-
-/// Writes src^T into dst, resizing with capacity reuse. dst must not alias
-/// src.
-void transpose_into(const Matrix& src, Matrix& dst);
-
-/// Feature-major dense forward for batched serving. `activations` holds a
-/// batch transposed — (in_features x batch), one row per feature —
-/// `weights` is the usual (in x out) row-major layer matrix and `bias_row`
-/// 1 x out. Computes out = W^T * activations + bias (out_features x batch).
-/// The batch axis is the long, unit-stride vectorization axis, which keeps
-/// throughput independent of the (tiny) layer widths. Per output element
-/// the accumulation order is bias first, then k ascending — identical to
-/// matmul_bias_into — so both layouts agree bitwise. Same aliasing and
-/// allocation rules as matmul_into.
-void dense_forward_columns(const Matrix& activations, const Matrix& weights,
-                           const Matrix& bias_row, Matrix& out);
-
 /// C = A^T * B without materializing the transpose.
 [[nodiscard]] Matrix matmul_transpose_a(const Matrix& a, const Matrix& b);
 

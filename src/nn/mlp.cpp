@@ -1,19 +1,39 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "nn/dropout.hpp"
 
 namespace socpinn::nn {
 
+namespace {
+
+/// out = b + x W for one sample: each output starts from its bias, then
+/// adds x[k] * W(k, j) for k ascending. The j loop is unit-stride over a
+/// row of W, so it vectorizes without changing any element's order.
+void dense_sample(const double* __restrict x, const double* __restrict w,
+                  const double* __restrict b, double* __restrict out,
+                  std::size_t in, std::size_t cols) {
+  for (std::size_t j = 0; j < cols; ++j) out[j] = b[j];
+  for (std::size_t k = 0; k < in; ++k) {
+    const double xk = x[k];
+    const double* __restrict w_row = w + k * cols;
+    for (std::size_t j = 0; j < cols; ++j) out[j] += xk * w_row[j];
+  }
+}
+
+}  // namespace
+
 Mlp::Mlp(const Mlp& other) {
   layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
+  for (const auto& layer : other.layers_) add(layer->clone());
 }
 
 Mlp& Mlp::operator=(const Mlp& other) {
   if (this == &other) return *this;
   Mlp copy(other);
-  layers_ = std::move(copy.layers_);
-  return *this;
+  return *this = std::move(copy);
 }
 
 Mlp Mlp::make(const std::vector<std::size_t>& dims, util::Rng& rng,
@@ -34,6 +54,16 @@ Mlp Mlp::make(const std::vector<std::size_t>& dims, util::Rng& rng,
 
 void Mlp::add(std::unique_ptr<Layer> layer) {
   if (!layer) throw std::invalid_argument("Mlp::add: null layer");
+  if (const auto* dense = dynamic_cast<const Dense*>(layer.get())) {
+    steps_.push_back({dense, ActivationKind::kIdentity});
+    max_width_ = std::max({max_width_, dense->input_dim(),
+                           dense->output_dim()});
+  } else if (const auto* act = dynamic_cast<const Activation*>(layer.get())) {
+    steps_.push_back({nullptr, act->kind()});
+  } else if (dynamic_cast<const Dropout*>(layer.get()) == nullptr) {
+    throw std::invalid_argument("Mlp::add: unsupported layer '" +
+                                layer->name() + "'");
+  }
   layers_.push_back(std::move(layer));
 }
 
@@ -43,64 +73,32 @@ Matrix Mlp::forward(const Matrix& input, bool train) {
   return x;
 }
 
-const Matrix& Mlp::infer(const Matrix& input, ForwardWorkspace& ws) const {
-  // Buffer layout: [0, n) layer outputs, n the transposed input, n+1 the
-  // re-transposed final output of the feature-major path.
-  const std::size_t n = layers_.size();
-  ws.ensure(n + 2);
-  if (n == 0) {
-    // Layerless net: hand back a workspace-owned copy so the reference
-    // contract (result lives in ws) holds regardless of topology.
-    copy_into(input, ws.buffer(0));
-    return ws.buffer(0);
+std::span<const double> Mlp::infer_sample(std::span<const double> x,
+                                          std::span<double> scratch) const {
+  const std::size_t half = max_width_;
+  if (x.size() > half || scratch.size() < 2 * half) {
+    throw std::invalid_argument("Mlp::infer_sample: input wider than the "
+                                "widest layer or scratch too small");
   }
-
-  if (input.rows() >= kColumnsMinBatch) {
-    // Feature-major: transpose once, run every layer with the batch as the
-    // unit-stride axis, transpose the (tiny) output back.
-    Matrix& staged = ws.buffer(n);
-    transpose_into(input, staged);
-    const Matrix& out = infer_columns(staged, ws);
-    transpose_into(out, ws.buffer(n + 1));
-    return ws.buffer(n + 1);
+  double* cur = scratch.data();
+  double* next = cur + half;
+  std::copy(x.begin(), x.end(), cur);
+  std::size_t width = x.size();
+  for (const Step& step : steps_) {
+    if (step.dense == nullptr) {
+      activate_inplace(step.act, {cur, width});
+      continue;
+    }
+    const Matrix& w = step.dense->weights();
+    if (w.rows() != width || w.cols() > half) {
+      throw std::invalid_argument("Mlp::infer_sample: layer shape mismatch");
+    }
+    dense_sample(cur, w.data().data(), step.dense->bias().data().data(), next,
+                 width, w.cols());
+    std::swap(cur, next);
+    width = w.cols();
   }
-
-  const Matrix* x = &input;
-  for (std::size_t i = 0; i < n; ++i) {
-    Matrix& out = ws.buffer(i);
-    layers_[i]->infer_into(*x, out);
-    x = &out;
-  }
-  return *x;
-}
-
-const Matrix& Mlp::infer_columns(const Matrix& input_columns,
-                                 ForwardWorkspace& ws) const {
-  const std::size_t n = layers_.size();
-  ws.ensure(n + 2);  // same layout as infer() so the two paths can nest
-  if (n == 0) {
-    copy_into(input_columns, ws.buffer(0));
-    return ws.buffer(0);
-  }
-  const Matrix* x = &input_columns;
-  for (std::size_t i = 0; i < n; ++i) {
-    Matrix& out = ws.buffer(i);
-    layers_[i]->infer_columns(*x, out);
-    x = &out;
-  }
-  return *x;
-}
-
-double Mlp::infer_scalar(std::span<const double> features,
-                         ForwardWorkspace& ws) const {
-  Matrix& staged = ws.staging();
-  staged.resize(1, features.size());
-  for (std::size_t c = 0; c < features.size(); ++c) staged(0, c) = features[c];
-  const Matrix& out = infer(staged, ws);
-  if (out.cols() == 0 || out.rows() == 0) {
-    throw std::logic_error("Mlp::infer_scalar: empty output");
-  }
-  return out(0, 0);
+  return {cur, width};
 }
 
 double Mlp::predict_scalar(std::span<const double> features) {

@@ -5,23 +5,16 @@
 
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/layer.hpp"
-#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace socpinn::nn {
-
-/// Batch size from which the feature-major panel path (infer_columns /
-/// dense_forward_columns) beats the row-major kernels. Below it, staging
-/// overhead outweighs the gain and row-major (good at batch-of-1) wins.
-/// Both paths agree bitwise, so dispatching on this is a pure perf choice;
-/// the serve engines reuse it for their staging decisions.
-inline constexpr std::size_t kColumnsMinBatch = 32;
 
 class Mlp {
  public:
@@ -41,34 +34,33 @@ class Mlp {
                                 ActivationKind hidden_activation =
                                     ActivationKind::kRelu);
 
-  /// Appends a layer (takes ownership).
+  /// Appends a layer (takes ownership). Dense, Activation and Dropout
+  /// are the known kinds; any other layer throws std::invalid_argument,
+  /// since infer_sample could not run it.
   void add(std::unique_ptr<Layer> layer);
 
-  /// Forward pass through all layers. Caches activations for backward();
-  /// use infer() for the allocation-free inference-only path.
+  /// Forward pass through all layers. Caches activations for backward().
   Matrix forward(const Matrix& input, bool train = false);
 
-  /// Inference-only batched forward through the workspace's preallocated
-  /// buffers: zero heap allocations once the workspace is warm at the given
-  /// batch size. Const and thread-safe when each thread owns its workspace.
-  /// The returned reference points into `ws` and stays valid until the next
-  /// infer() with the same workspace.
-  const Matrix& infer(const Matrix& input, ForwardWorkspace& ws) const;
+  /// The per-sample scalar reference forward: the oracle the batched serve
+  /// path (MlpSnapshotT, TwoBranchSnapshotT) is checked against bitwise.
+  /// Every Dense output starts from its bias and adds x[k] * W(k, j) for k
+  /// ascending, unfused (the library builds with -ffp-contract=off) — the
+  /// panel kernel's per-element order. Activations apply activate();
+  /// Dropout is the identity. `x` holds standardized features, at most as
+  /// many as the widest Dense layer; `scratch` needs sample_scratch_size()
+  /// doubles. Returns the outputs, a view into `scratch`. Const and
+  /// allocation-free: concurrent calls are safe with per-caller scratch.
+  [[nodiscard]] std::span<const double> infer_sample(
+      std::span<const double> x, std::span<double> scratch) const;
 
-  /// Feature-major inference for callers that keep the batch transposed:
-  /// `input_columns` is (in_features x batch) and the returned reference
-  /// (out_features x batch) points into ws. Same per-element arithmetic as
-  /// infer() — both layouts agree bitwise — but without the transpose
-  /// round-trip, which makes it the per-step hot path of lockstep rollout
-  /// and serving loops (and the seam a device backend plugs into).
-  const Matrix& infer_columns(const Matrix& input_columns,
-                              ForwardWorkspace& ws) const;
+  /// Scratch doubles infer_sample needs: two buffers of the widest layer.
+  [[nodiscard]] std::size_t sample_scratch_size() const {
+    return 2 * max_width_;
+  }
 
-  /// Batch-of-1 wrapper over infer(); returns the scalar first output.
-  [[nodiscard]] double infer_scalar(std::span<const double> features,
-                                    ForwardWorkspace& ws) const;
-
-  /// Convenience single-sample forward; returns the scalar first output.
+  /// Convenience single-sample forward through forward() (allocating);
+  /// returns the scalar first output.
   [[nodiscard]] double predict_scalar(std::span<const double> features);
 
   /// Backward pass (call after forward with train=true semantics).
@@ -98,7 +90,16 @@ class Mlp {
   [[nodiscard]] std::string describe() const;
 
  private:
+  /// A layer as infer_sample runs it, resolved once in add(): a Dense
+  /// layer, or (dense == nullptr) an activation. Dropout adds no step.
+  struct Step {
+    const Dense* dense = nullptr;
+    ActivationKind act = ActivationKind::kIdentity;
+  };
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Step> steps_;
+  std::size_t max_width_ = 0;  ///< widest Dense input or output
 };
 
 }  // namespace socpinn::nn

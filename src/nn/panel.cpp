@@ -70,8 +70,8 @@ SOCPINN_HOT void dense_forward_columns(const MatrixT<T>& activations,
   }
   // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
   out.resize(weights.cols(), activations.cols());
-  // Same runtime-ISA dispatch as the nn::Matrix overload; the templated
-  // serve path and the f64 reference path always agree on the kernel.
+  // Runtime-ISA dispatch: every kernel is bitwise identical to the scalar
+  // template, so the ISA changes throughput, never results.
   simd::dense_columns<T>(activations.data().data(), weights.data().data(),
                          bias_row.data().data(), out.data().data(),
                          weights.rows(), weights.cols(),
@@ -183,10 +183,9 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
   return *x;
 }
 
-// The two supported serve precisions. The double instantiation exists to
-// pin the template to the nn::Matrix reference path bitwise (and for
-// float<->double conversion round-trip tests); float is the deployed
-// reduced-precision backend.
+// The two supported serve precisions: double is the batched forward of
+// the f64 engines and of evaluation, bitwise equal to Mlp::infer_sample;
+// float is the deployed reduced-precision backend.
 template void dense_forward_columns<float>(const MatrixT<float>&,
                                            const MatrixT<float>&,
                                            const MatrixT<float>&,

@@ -3,13 +3,15 @@
 /// Scalar-templated carriers for the serve-side inference path.
 ///
 /// Training stays on nn::Matrix (double); these types carry the
-/// feature-major panel seam that RolloutEngine / FleetEngine serve through
-/// at either precision — at float the same register tiles pack twice the
-/// SIMD lanes. Weights and scaler stats are converted ONCE from a trained
-/// f64 model (MlpSnapshotT / ScalerStatsT), so the training network is
-/// never touched by serving. Instantiated at double, every type here
-/// reproduces the nn::Matrix path bitwise (tests/nn/test_panel.cpp), which
-/// pins the template to the reference arithmetic.
+/// feature-major panel seam — the only batched forward — that
+/// RolloutEngine / FleetEngine serve through at either precision, and
+/// that whole-dataset evaluation runs at double. At float the same
+/// register tiles pack twice the SIMD lanes. Weights and scaler stats are
+/// converted ONCE from a trained f64 model (MlpSnapshotT / ScalerStatsT),
+/// so the training network is never touched by serving. Instantiated at
+/// double, MlpSnapshotT reproduces the scalar reference Mlp::infer_sample
+/// bitwise (tests/nn/test_panel.cpp), which pins the template to the
+/// reference arithmetic.
 
 #include <cstddef>
 #include <span>
@@ -74,9 +76,10 @@ class MatrixT {
 /// Feature-major dense forward over MatrixT panels: `activations` is
 /// (in_features x batch), `weights` (in x out) row-major, `bias_row`
 /// 1 x out; computes out = W^T * activations + bias (out_features x batch)
-/// through the shared scalar-templated kernel. At T = double this is
-/// bitwise identical to nn::dense_forward_columns. Same aliasing and
-/// allocation rules as the Matrix overload.
+/// through the runtime-dispatched panel kernel (nn/panel_dispatch.hpp).
+/// Per element: bias first, then k ascending, unfused — the order of
+/// Mlp::infer_sample. `out` is resized with capacity reuse and must not
+/// alias an input.
 template <typename T>
 void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
@@ -109,8 +112,8 @@ struct ScalerStatsT {
   [[nodiscard]] std::size_t num_features() const { return means.size(); }
 
   /// Feature-major standardize: x is (features x batch), row f standardized
-  /// with moments f, written into out with capacity reuse. Same arithmetic
-  /// shape as StandardScaler::transform_columns_into.
+  /// with moments f, written into out with capacity reuse. Per element the
+  /// arithmetic of StandardScaler::transform_row: (x - mean) / std.
   void transform_columns_into(const MatrixT<T>& x, MatrixT<T>& out) const {
     transform_columns_into(x, 0, x.cols(), out);
   }
@@ -128,8 +131,13 @@ struct ScalerStatsT {
 /// 128 measured within 3% of 256 and 512 about 7% slower.
 inline constexpr std::size_t kColumnsBlock = 256;
 
-/// Preallocated activation panels for one MlpSnapshotT inference pass —
-/// the templated twin of ForwardWorkspace. One owner (typically one shard).
+/// Pad tile of the serve engines: they stage a panel at least this many
+/// columns wide (zero_pad_columns fills the pad), so a thin batch still
+/// runs the vectorized kernel instead of its scalar remainder.
+inline constexpr std::size_t kColumnsMinBatch = 32;
+
+/// Preallocated activation panels for one MlpSnapshotT inference pass.
+/// One owner (typically one shard).
 template <typename T>
 class ForwardWorkspaceT {
  public:

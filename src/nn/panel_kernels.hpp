@@ -2,15 +2,15 @@
 /// \file panel_kernels.hpp
 /// Scalar-templated feature-major dense kernel — the portable fallback and
 /// the parity REFERENCE of the runtime-ISA dispatch (nn/panel_dispatch.hpp)
-/// behind the f64 serving path (nn::dense_forward_columns over nn::Matrix)
-/// and the reduced-precision serve backend (nn::MatrixT<float>). The
-/// template defines the panel arithmetic: per element, bias first then
-/// ascending-k unfused multiply-adds (the library compiles with
-/// -ffp-contract=off), and every vector instantiation
+/// behind the serve panels at f64 and f32 (nn::dense_forward_columns over
+/// nn::MatrixT<T>). The template defines the panel arithmetic: per
+/// element, bias first then ascending-k unfused multiply-adds (the library
+/// compiles with -ffp-contract=off), and every vector instantiation
 /// (panel_kernels_simd.hpp) reproduces exactly that sequence lane-by-lane
-/// — bitwise at f64 and f32 on every host. Instantiated at double it is the exact
-/// kernel that lived in matrix.cpp (same tile shapes, same accumulation
-/// order); at float the same tiles pack twice the SIMD lanes per register.
+/// — bitwise at f64 and f32 on every host. It is also the order of the
+/// per-sample scalar reference Mlp::infer_sample, so at double the panels
+/// equal that reference bitwise; at float the same tiles pack twice the
+/// SIMD lanes per register.
 
 #include <cstddef>
 

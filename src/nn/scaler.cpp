@@ -62,23 +62,6 @@ void StandardScaler::transform_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-void StandardScaler::transform_columns_into(const Matrix& x,
-                                            Matrix& out) const {
-  if (!fitted()) throw std::logic_error("StandardScaler: not fitted");
-  if (x.rows() != means_.size()) {
-    throw std::invalid_argument("StandardScaler::transform_columns_into: "
-                                "feature rows");
-  }
-  out.resize(x.rows(), x.cols());
-  for (std::size_t f = 0; f < x.rows(); ++f) {
-    const double mean = means_[f];
-    const double std = stds_[f];
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      out(f, j) = (x(f, j) - mean) / std;
-    }
-  }
-}
-
 void StandardScaler::transform_row(std::span<double> row) const {
   if (!fitted()) throw std::logic_error("StandardScaler: not fitted");
   if (row.size() != means_.size()) {

@@ -29,12 +29,6 @@ class StandardScaler {
   /// allocation in the steady state. out must not alias x.
   void transform_into(const Matrix& x, Matrix& out) const;
 
-  /// Feature-major variant: x is a transposed batch (features x batch),
-  /// row f standardized with moments f. Same per-element arithmetic as
-  /// transform_into, so both layouts agree bitwise. Same aliasing and
-  /// allocation rules.
-  void transform_columns_into(const Matrix& x, Matrix& out) const;
-
   /// Transforms a single row in place.
   void transform_row(std::span<double> row) const;
 

@@ -11,7 +11,7 @@
 /// estimate, voltage consumed exactly once as in the paper's Fig. 2
 /// rollout), then the server advances each cell's SoC per planning tick
 /// from its expected workload (Branch 2). Work is sharded across a thread
-/// pool; each shard runs on its own InferenceWorkspace against an
+/// pool; each shard runs on its own InferenceWorkspaceT against an
 /// immutable model snapshot, so shared state is only ever read. Shard
 /// boundaries depend on nothing but (num_cells, num_threads), and every
 /// batched row is computed independently, so fleet results are bitwise

@@ -89,9 +89,14 @@ ShardedFleet::ShardedFleet(const core::TwoBranchNet& net,
 
   // Fork only after EVERY segment and the published model exist: children
   // inherit complete mappings and need nothing from the parent afterwards
-  // except commands. This parent owns no threads, so fork-without-exec is
-  // safe here; callers that do run threads get children whose only live
-  // code path is shard_worker_main over the inherited mappings.
+  // except commands. Fork-without-exec is safe only while no other thread
+  // of the calling process holds a lock the child will take (the
+  // allocator's, a pool's): the child inherits such a lock held, with no
+  // owner to release it. ShardedFleet itself starts no thread before this
+  // point, but a caller may (the ShardedFleet tests build a threaded
+  // FleetEngine first), and a worker forked then can block right after
+  // the fork. ROADMAP item 5 replaces the fork with spawning a worker
+  // executable.
   for (Worker& w : workers_) {
     ShardWorkerContext ctx;
     ctx.header = w.header;

@@ -1,12 +1,15 @@
-/// Parity of the batched workspace inference path against the scalar
-/// wrappers and the legacy allocating forward: the refactor's correctness
-/// contract is that all of them produce the same numbers to 1e-12 (in
-/// practice bitwise) on arbitrary inputs.
+/// Parity of the batched inference entry points — TwoBranchNet's batch
+/// loops and the whole-dataset cascade through the f64 serving snapshot
+/// (core::predict_cascade) — against the per-sample scalar reference
+/// (estimate_soc / predict_soc). Every inference-vs-inference comparison
+/// is bitwise. Only the training forward(), which adds the bias last and
+/// skips zero terms, is compared within a tolerance.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/predictor.hpp"
 #include "core/two_branch_net.hpp"
 #include "support/fitted_net.hpp"
 #include "util/rng.hpp"
@@ -18,7 +21,8 @@ using testing::make_fitted_net;
 using testing::random_branch2;
 using testing::random_sensors;
 
-constexpr double kTol = 1e-12;
+/// forward() vs the reference: same terms, different rounding order.
+constexpr double kTrainingForwardTol = 1e-12;
 
 TEST(BatchedParity, EstimateBatchMatchesScalarLoop) {
   TwoBranchNet net = make_fitted_net(7);
@@ -34,7 +38,7 @@ TEST(BatchedParity, EstimateBatchMatchesScalarLoop) {
   for (std::size_t r = 0; r < sensors.rows(); ++r) {
     const double scalar = net.estimate_soc(sensors(r, 0), sensors(r, 1),
                                            sensors(r, 2), scalar_ws);
-    EXPECT_NEAR(batch(r, 0), scalar, kTol) << "row " << r;
+    EXPECT_EQ(batch(r, 0), scalar) << "row " << r;
   }
 }
 
@@ -51,14 +55,13 @@ TEST(BatchedParity, PredictBatchMatchesScalarLoop) {
     const double scalar =
         net.predict_soc(inputs(r, 0), inputs(r, 1), inputs(r, 2),
                         inputs(r, 3), scalar_ws);
-    EXPECT_NEAR(batch(r, 0), scalar, kTol) << "row " << r;
+    EXPECT_EQ(batch(r, 0), scalar) << "row " << r;
   }
 }
 
 TEST(BatchedParity, PredictBatchColumnsMatchesRowMajorBitwise) {
-  // The feature-major seam of the per-step rollout/serving hot loops:
-  // staging the batch transposed must not change a single ulp, at panel
-  // sizes on both sides of the Mlp dispatch threshold.
+  // Staging the batch transposed must not change a single ulp, at widths
+  // on both sides of the engines' 32-column pad tile.
   TwoBranchNet net = make_fitted_net(7);
   util::Rng rng(19);
   for (const std::size_t n :
@@ -82,28 +85,34 @@ TEST(BatchedParity, PredictBatchColumnsMatchesRowMajorBitwise) {
 }
 
 TEST(BatchedParity, CascadeBatchMatchesScalarCascade) {
+  // The batched cascade is predict_cascade: Branch-1 and Branch-2 panels
+  // through TwoBranchSnapshotT<double>. It must equal the scalar cascade
+  // bitwise at both stages, across the 256-column block of the snapshot.
   TwoBranchNet net = make_fitted_net(7);
   util::Rng rng(17);
-  const std::size_t n = 128;
-  const nn::Matrix sensors = random_sensors(n, rng);
-  nn::Matrix workload(n, 3);
+  const std::size_t n = 300;
+  data::HorizonEvalData eval;
+  eval.sensors = random_sensors(n, rng);
+  eval.workload = nn::Matrix(n, 3);
   for (std::size_t r = 0; r < n; ++r) {
-    workload(r, 0) = rng.uniform(-6.0, 3.0);
-    workload(r, 1) = rng.uniform(-5.0, 45.0);
-    workload(r, 2) = rng.uniform(10.0, 600.0);
+    eval.workload(r, 0) = rng.uniform(-6.0, 3.0);
+    eval.workload(r, 1) = rng.uniform(-5.0, 45.0);
+    eval.workload(r, 2) = rng.uniform(10.0, 600.0);
   }
 
-  InferenceWorkspace ws;
-  const nn::Matrix& batch = net.cascade_batch(sensors, workload, ws);
+  const HorizonPrediction batch = predict_cascade(net, eval);
+  ASSERT_EQ(batch.soc_pred.size(), n);
 
   InferenceWorkspace scalar_ws;
   for (std::size_t r = 0; r < n; ++r) {
-    const double soc_now = net.estimate_soc(sensors(r, 0), sensors(r, 1),
-                                            sensors(r, 2), scalar_ws);
+    const double soc_now =
+        net.estimate_soc(eval.sensors(r, 0), eval.sensors(r, 1),
+                         eval.sensors(r, 2), scalar_ws);
     const double scalar =
-        net.predict_soc(soc_now, workload(r, 0), workload(r, 1),
-                        workload(r, 2), scalar_ws);
-    EXPECT_NEAR(batch(r, 0), scalar, kTol) << "row " << r;
+        net.predict_soc(soc_now, eval.workload(r, 0), eval.workload(r, 1),
+                        eval.workload(r, 2), scalar_ws);
+    EXPECT_EQ(batch.soc_now_est[r], soc_now) << "row " << r;
+    EXPECT_EQ(batch.soc_pred[r], scalar) << "row " << r;
   }
 }
 
@@ -123,7 +132,7 @@ TEST(BatchedParity, WorkspacePathMatchesLegacyAllocatingPath) {
   const nn::Matrix train_path =
       net.branch1().forward(net.scaler1().transform(sensors), false);
   for (std::size_t r = 0; r < sensors.rows(); ++r) {
-    EXPECT_NEAR(ws_est(r, 0), train_path(r, 0), kTol);
+    EXPECT_NEAR(ws_est(r, 0), train_path(r, 0), kTrainingForwardTol);
   }
 }
 

@@ -66,6 +66,25 @@ TEST_F(PredictorTest, CascadeUsesBranch1Estimate) {
   for (std::size_t r = 0; r < 10; ++r) {
     EXPECT_DOUBLE_EQ(pred.soc_now_est[r], est(r, 0));
   }
+  EXPECT_EQ(estimate_dataset(*net_, eval.sensors), pred.soc_now_est);
+}
+
+TEST_F(PredictorTest, HorizonPredictorsRejectMisshapenWorkload) {
+  // Both predictors read workload(r, 0..2) for every sensor row, so a
+  // workload with fewer rows or fewer than 3 columns must throw instead
+  // of reading past the matrix.
+  const auto good = data::build_horizon_eval(
+      std::span<const data::Trace>(*traces_), 120.0);
+  data::HorizonEvalData short_rows = good;
+  short_rows.workload = nn::Matrix(good.size() - 1, 3);
+  data::HorizonEvalData narrow = good;
+  narrow.workload = nn::Matrix(good.size(), 2);
+  for (const data::HorizonEvalData* eval : {&short_rows, &narrow}) {
+    EXPECT_THROW((void)predict_cascade(*net_, *eval), std::invalid_argument);
+    EXPECT_THROW(
+        (void)predict_physics_only(*net_, *eval, {.capacity_ah = 3.0}),
+        std::invalid_argument);
+  }
 }
 
 TEST_F(PredictorTest, PhysicsOnlyAppliesEquationOne) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "nn/dropout.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "support/known_answer_net.hpp"
 
 namespace socpinn::nn {
 namespace {
@@ -48,10 +52,19 @@ TEST(Mlp, DeepCopyIsIndependent) {
   Mlp b = a;
   const Matrix x(1, 2, std::vector<double>{0.3, -0.4});
   const double before = b.predict_scalar(x.row(0));
-  // Mutate a's weights; b must not change.
+  std::vector<double> scratch(b.sample_scratch_size());
+  const double ref_before = b.infer_sample(x.row(0), scratch)[0];
+  // Mutate a's weights; b must not change, through either forward.
   for (Matrix* p : a.params()) p->fill(0.0);
   EXPECT_DOUBLE_EQ(b.predict_scalar(x.row(0)), before);
   EXPECT_DOUBLE_EQ(a.predict_scalar(x.row(0)), 0.0);
+  EXPECT_EQ(b.infer_sample(x.row(0), scratch)[0], ref_before);
+  EXPECT_EQ(a.infer_sample(x.row(0), scratch)[0], 0.0);
+  // Copy-assignment resolves the target's own layers too.
+  Mlp c;
+  c = b;
+  for (Matrix* p : b.params()) p->fill(0.0);
+  EXPECT_EQ(c.infer_sample(x.row(0), scratch)[0], ref_before);
 }
 
 TEST(Mlp, PredictScalarMatchesForward) {
@@ -59,6 +72,45 @@ TEST(Mlp, PredictScalarMatchesForward) {
   Mlp net = Mlp::make({3, 8, 1}, rng);
   const Matrix x(1, 3, std::vector<double>{0.1, 0.2, 0.3});
   EXPECT_DOUBLE_EQ(net.predict_scalar(x.row(0)), net.forward(x)(0, 0));
+}
+
+TEST(Mlp, InferSampleMatchesHandComputedValues) {
+  const Mlp mlp = testing::make_known_answer_net();
+  std::vector<double> scratch(mlp.sample_scratch_size());
+  for (const auto& ka : testing::kKnownAnswers) {
+    const auto y = mlp.infer_sample(ka.x, scratch);
+    ASSERT_EQ(y.size(), 1u);
+    EXPECT_EQ(y[0], ka.y) << "x = (" << ka.x[0] << ", " << ka.x[1] << ")";
+  }
+}
+
+TEST(Mlp, InferSampleAddsBiasFirstUnlikeTrainingForward) {
+  // The order-pinning input: the reference (bias first, k ascending) and
+  // forward() (matmul, then the bias) round to different values, so the
+  // reference is not interchangeable with the training forward.
+  Mlp mlp = testing::make_known_answer_net();
+  const auto& ka = testing::kKnownAnswers[2];
+  std::vector<double> scratch(mlp.sample_scratch_size());
+  EXPECT_EQ(mlp.infer_sample(ka.x, scratch)[0], 0.75 + 0x1p-53);
+  EXPECT_EQ(mlp.predict_scalar(ka.x), 0.75 + 0x1p-52);
+}
+
+TEST(Mlp, InferSampleValidatesShapesAndSkipsDropout) {
+  util::Rng rng(3);
+  Mlp mlp = Mlp::make({3, 8, 1}, rng);
+  ASSERT_EQ(mlp.sample_scratch_size(), 16u);
+  std::vector<double> scratch(mlp.sample_scratch_size());
+  const double x[3] = {0.1, -0.2, 0.3};
+  const double before = mlp.infer_sample(x, scratch)[0];
+  // Biases start at zero, so bias first and bias last agree here.
+  EXPECT_EQ(before, mlp.predict_scalar(x));
+  std::vector<double> small(mlp.sample_scratch_size() - 1);
+  EXPECT_THROW((void)mlp.infer_sample(x, small), std::invalid_argument);
+  const double narrow[2] = {0.1, -0.2};
+  EXPECT_THROW((void)mlp.infer_sample(narrow, scratch), std::invalid_argument);
+  // Dropout is the identity at inference.
+  mlp.add(std::make_unique<Dropout>(0.5, rng.split()));
+  EXPECT_EQ(mlp.infer_sample(x, scratch)[0], before);
 }
 
 TEST(Mlp, DescribeListsLayers) {

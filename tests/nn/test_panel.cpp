@@ -1,10 +1,10 @@
 /// The contract of the scalar-templated panel layer (nn/panel.hpp):
 ///
-///  * instantiated at double, every type reproduces the nn::Matrix
-///    reference path BITWISE — dense_forward_columns<double> equals the
-///    Matrix kernel, MlpSnapshotT<double> equals Mlp::infer_columns,
-///    ScalerStatsT<double> equals StandardScaler::transform_columns_into —
-///    which pins the template to the reference arithmetic;
+///  * instantiated at double, every type reproduces the per-sample scalar
+///    reference BITWISE, column by column — dense_forward_columns<double>
+///    and MlpSnapshotT<double> equal Mlp::infer_sample, ScalerStatsT<double>
+///    equals StandardScaler::transform_row — which pins the template to
+///    the reference arithmetic;
 ///  * instantiated at float, results track the f64 path within float
 ///    round-off at every batch size (full tiles, the half-width float
 ///    tile, and the scalar remainder);
@@ -16,11 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/mlp.hpp"
 #include "nn/scaler.hpp"
-#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace socpinn::nn {
@@ -41,6 +43,32 @@ MatrixT<T> to_panel(const Matrix& m) {
   return out;
 }
 
+/// A one-layer Mlp holding exactly (w, b): the scalar reference of a
+/// single dense panel.
+Mlp dense_mlp(const Matrix& w, const Matrix& b) {
+  util::Rng rng(1);
+  auto dense = std::make_unique<Dense>(w.rows(), w.cols(), rng);
+  dense->weights() = w;
+  dense->bias() = b;
+  Mlp mlp;
+  mlp.add(std::move(dense));
+  return mlp;
+}
+
+/// The scalar reference over every column of a feature-major panel:
+/// (out_features x batch), column j = mlp.infer_sample(panel column j).
+Matrix reference_columns(const Mlp& mlp, const Matrix& panel) {
+  std::vector<double> x(panel.rows());
+  std::vector<double> scratch(mlp.sample_scratch_size());
+  Matrix out(mlp.output_dim(), panel.cols());
+  for (std::size_t j = 0; j < panel.cols(); ++j) {
+    for (std::size_t f = 0; f < panel.rows(); ++f) x[f] = panel(f, j);
+    const auto y = mlp.infer_sample(x, scratch);
+    for (std::size_t o = 0; o < y.size(); ++o) out(o, j) = y[o];
+  }
+  return out;
+}
+
 TEST(MatrixT, ResizeReusesCapacityAndKeepsShape) {
   MatrixT<float> m(4, 8, 1.0f);
   EXPECT_EQ(m.rows(), 4u);
@@ -55,7 +83,7 @@ TEST(MatrixT, ResizeReusesCapacityAndKeepsShape) {
   EXPECT_EQ(m(1, 2), -1.0f);
 }
 
-TEST(PanelKernel, DoubleInstantiationMatchesMatrixKernelBitwise) {
+TEST(PanelKernel, DoubleInstantiationMatchesScalarReferenceBitwise) {
   util::Rng rng(11);
   // Shapes straddle every kernel path: full 32-wide tiles, the scalar
   // remainder, and out_f both multiple-of-4 and not.
@@ -65,10 +93,10 @@ TEST(PanelKernel, DoubleInstantiationMatchesMatrixKernelBitwise) {
   for (const auto& shape : shapes) {
     const Matrix w = random_matrix(shape[0], shape[1], rng);
     const Matrix b = random_matrix(1, shape[1], rng);
+    const Mlp reference = dense_mlp(w, b);
     for (const std::size_t batch : batches) {
       const Matrix a = random_matrix(shape[0], batch, rng);
-      Matrix expected;
-      dense_forward_columns(a, w, b, expected);
+      const Matrix expected = reference_columns(reference, a);
 
       const auto at = to_panel<double>(a);
       const auto wt = to_panel<double>(w);
@@ -78,7 +106,7 @@ TEST(PanelKernel, DoubleInstantiationMatchesMatrixKernelBitwise) {
       ASSERT_EQ(got.rows(), expected.rows());
       ASSERT_EQ(got.cols(), expected.cols());
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        // Bitwise: the template at double IS the f64 kernel.
+        // Bitwise: same per-element order as the scalar reference.
         EXPECT_EQ(got.data()[i], expected.data()[i])
             << shape[0] << "x" << shape[1] << " batch " << batch;
       }
@@ -96,8 +124,9 @@ TEST(PanelKernel, FloatTracksDoubleWithinRoundoff) {
        {std::size_t{1}, std::size_t{17}, std::size_t{32}, std::size_t{48},
         std::size_t{63}, std::size_t{64}, std::size_t{129}}) {
     const Matrix a = random_matrix(16, batch, rng);
-    Matrix expected;
-    dense_forward_columns(a, w, b, expected);
+    MatrixT<double> expected;
+    dense_forward_columns(to_panel<double>(a), to_panel<double>(w),
+                          to_panel<double>(b), expected);
 
     const auto af = to_panel<float>(a);
     const auto wf = to_panel<float>(w);
@@ -165,8 +194,12 @@ TEST(ScalerStats, TransformColumnsMatchesScalerAtDouble) {
   scaler.fit(fit_data);
 
   const Matrix x = random_matrix(4, 50, rng);  // feature-major panel
-  Matrix expected;
-  scaler.transform_columns_into(x, expected);
+  Matrix expected(4, 50);
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    double column[4] = {x(0, j), x(1, j), x(2, j), x(3, j)};
+    scaler.transform_row(column);
+    for (std::size_t f = 0; f < 4; ++f) expected(f, j) = column[f];
+  }
 
   const auto stats = ScalerStatsT<double>::from(scaler);
   const auto xt = to_panel<double>(x);
@@ -206,7 +239,7 @@ TEST(ScalerStats, ConstantColumnFallbackSurvivesConversion) {
   EXPECT_FLOAT_EQ(z(1, 0), 0.0f);
 }
 
-TEST(MlpSnapshot, DoubleSnapshotMatchesMlpInferColumnsBitwise) {
+TEST(MlpSnapshot, DoubleSnapshotMatchesInferSampleBitwise) {
   util::Rng rng(19);
   const Mlp mlp = [&] {
     util::Rng r(7);
@@ -215,12 +248,11 @@ TEST(MlpSnapshot, DoubleSnapshotMatchesMlpInferColumnsBitwise) {
   const auto snapshot = MlpSnapshotT<double>::from(mlp);
   ASSERT_EQ(snapshot.num_layers(), mlp.num_layers());
 
-  ForwardWorkspace ws;
   ForwardWorkspaceT<double> wst;
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{33}, std::size_t{64}, std::size_t{97}}) {
     const Matrix input = random_matrix(4, batch, rng);
-    const Matrix& expected = mlp.infer_columns(input, ws);
+    const Matrix expected = reference_columns(mlp, input);
     const auto it = to_panel<double>(input);
     const MatrixT<double>& got = snapshot.infer_columns(it, wst);
     ASSERT_EQ(got.rows(), expected.rows());
@@ -239,10 +271,9 @@ TEST(MlpSnapshot, FloatSnapshotTracksDoubleWithinTolerance) {
   }();
   const auto snapshot = MlpSnapshotT<float>::from(mlp);
 
-  ForwardWorkspace ws;
   ForwardWorkspaceT<float> wsf;
   const Matrix input = random_matrix(4, 80, rng);
-  const Matrix& expected = mlp.infer_columns(input, ws);
+  const Matrix expected = reference_columns(mlp, input);
   const auto inf = to_panel<float>(input);
   const MatrixT<float>& got = snapshot.infer_columns(inf, wsf);
   for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -113,9 +113,9 @@ TEST(StandardScaler, SubUnitConstantColumnUsesUnitScale) {
   Matrix out;
   scaler.transform_into(rowm, out);
   EXPECT_DOUBLE_EQ(out(0, 0), 1.0);
-  Matrix cols(1, 1, 1.25);
-  scaler.transform_columns_into(cols, out);
-  EXPECT_DOUBLE_EQ(out(0, 0), 1.0);
+  double row[] = {1.25};
+  scaler.transform_row(row);
+  EXPECT_DOUBLE_EQ(row[0], 1.0);
 }
 
 TEST(StandardScaler, UnfittedThrows) {

@@ -193,13 +193,13 @@ TEST(SimdDispatch, ExhaustiveSweepMatchesScalarReference) {
   }
 }
 
-/// dense_forward_columns (both Matrix and MatrixT carriers) routes through
-/// the dispatcher; whatever ISA is active, the result must equal the scalar
-/// kernel bitwise at f64 — the carrier-level restatement of the sweep.
+/// dense_forward_columns over MatrixT routes through the dispatcher;
+/// whatever ISA is active, the result must equal the scalar kernel bitwise
+/// at f64 — the carrier-level restatement of the sweep.
 TEST(SimdDispatch, DenseForwardColumnsMatchesScalarKernel) {
   util::Rng rng(7);
   const std::size_t in_f = 4, out_f = 16, batch = 97;
-  Matrix act(in_f, batch), w(in_f, out_f), bias(1, out_f), out;
+  MatrixT<double> act(in_f, batch), w(in_f, out_f), bias(1, out_f), out;
   for (auto& v : act.data()) v = rng.uniform(-1.0, 1.0);
   for (auto& v : w.data()) v = rng.uniform(-1.0, 1.0);
   for (auto& v : bias.data()) v = rng.uniform(-1.0, 1.0);

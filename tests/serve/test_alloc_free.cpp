@@ -16,6 +16,7 @@
 #include "serve/rollout_engine.hpp"
 #include "serve/sharded_fleet.hpp"
 #include "support/fitted_net.hpp"
+#include "support/known_answer_net.hpp"
 #include "util/rng.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -101,23 +102,47 @@ TEST(AllocFree, CascadeAndScalarWrappersSteadyState) {
   const core::TwoBranchNet net = testing::make_fitted_net(21);
   util::Rng rng(5);
   nn::Matrix sensors(64, 3);
-  nn::Matrix workload(64, 3);
+  nn::Matrix branch2(64, 4);
+  nn::Matrix columns(4, 64);
   for (auto& v : sensors.data()) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : workload.data()) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : branch2.data()) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : columns.data()) v = rng.uniform(-1.0, 1.0);
 
   core::InferenceWorkspace ws;
-  (void)net.cascade_batch(sensors, workload, ws);
+  (void)net.predict_batch(branch2, ws);
+  (void)net.predict_batch_columns(columns, ws);
   (void)net.estimate_soc(3.8, -2.0, 25.0, ws);
   (void)net.predict_soc(0.7, -2.0, 25.0, 60.0, ws);
 
   const std::size_t before = allocs();
   double acc = 0.0;
   for (int i = 0; i < 50; ++i) {
-    acc += net.cascade_batch(sensors, workload, ws)(0, 0);
+    acc += net.estimate_batch(sensors, ws)(0, 0);
+    acc += net.predict_batch(branch2, ws)(0, 0);
+    acc += net.predict_batch_columns(columns, ws)(0, 0);
     acc += net.estimate_soc(3.8, -2.0, 25.0, ws);
     acc += net.predict_soc(acc > 0 ? 0.5 : 0.6, -2.0, 25.0, 60.0, ws);
   }
   EXPECT_EQ(allocs(), before) << "cascade/scalar wrappers allocated";
+}
+
+TEST(AllocFree, ScalarReferenceKnownAnswersAllocateNothing) {
+  // The oracle every bitwise suite trusts: once its scratch exists,
+  // Mlp::infer_sample allocates nothing and still gives the hand-computed
+  // answers.
+  const nn::Mlp mlp = testing::make_known_answer_net();
+  std::vector<double> scratch(mlp.sample_scratch_size());
+  (void)mlp.infer_sample(testing::kKnownAnswers[0].x, scratch);
+
+  const std::size_t before = allocs();
+  int mismatches = 0;
+  for (int i = 0; i < 50; ++i) {
+    for (const auto& ka : testing::kKnownAnswers) {
+      if (mlp.infer_sample(ka.x, scratch)[0] != ka.y) ++mismatches;
+    }
+  }
+  EXPECT_EQ(allocs(), before) << "scalar reference allocated";
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(AllocFree, FleetTickSteadyStateAllocatesNothing) {

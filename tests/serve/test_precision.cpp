@@ -10,8 +10,8 @@
 ///  * f32 results are bitwise invariant to thread count, same shard
 ///    contract as f64 (per-column panel results are independent of the
 ///    gathered batch width);
-///  * the TwoBranchSnapshotT<double> instantiation reproduces the f64
-///    net's panel forwards bitwise, pinning the snapshot to the reference;
+///  * the TwoBranchSnapshotT<double> instantiation reproduces the net's
+///    per-sample scalar reference bitwise, pinning the snapshot to it;
 ///  * the snapshot's column-blocked forward (nn::kColumnsBlock) is bitwise
 ///    the unblocked chain at every width, at both precisions, and keeps
 ///    every layer panel block-sized.
@@ -75,11 +75,10 @@ TEST(SnapshotParity, DoubleSnapshotMatchesNetPanelsBitwise) {
   core::InferenceWorkspace ws;
   core::InferenceWorkspaceT<double> wst;
   for (const std::size_t n : kParityWidths) {
-    // Branch 2: compare against the net's own feature-major panel path.
+    // Branch 2: compare against the scalar reference over the same panel.
     const nn::Matrix b2_rows = testing::random_branch2(n, rng);
-    nn::Matrix b2_cols;
-    nn::transpose_into(b2_rows, b2_cols);
-    const nn::Matrix& expected = net.predict_batch_columns(b2_cols, ws);
+    const nn::Matrix& expected =
+        net.predict_batch_columns(nn::transpose(b2_rows), ws);
     const nn::MatrixT<double>& got =
         snapshot.predict_columns(to_panel<double>(b2_rows), wst);
     ASSERT_EQ(got.rows(), 1u) << "width " << n;
@@ -88,8 +87,7 @@ TEST(SnapshotParity, DoubleSnapshotMatchesNetPanelsBitwise) {
       EXPECT_EQ(got(0, j), expected(0, j)) << "width " << n << " b2 col " << j;
     }
 
-    // Branch 1: the row-major estimate on the transposed input — bitwise
-    // equal because the panel and row paths already agree bitwise in f64.
+    // Branch 1: the scalar reference over the row-major batch.
     const nn::Matrix sensors = random_sensors(n, rng);
     const nn::Matrix& est = net.estimate_batch(sensors, ws);
     const nn::MatrixT<double>& est_got =

@@ -138,7 +138,8 @@ int run_eval(const util::ArgParser& args) {
 
   const auto b1 = data::build_branch1_data(span, stride);
   std::printf("SoC(t) estimation MAE: %.4f over %zu samples\n",
-              nn::mae(net.estimate_batch(b1.x), b1.y), b1.size());
+              nn::mae(core::estimate_dataset(net, b1.x), b1.y.data()),
+              b1.size());
   for (double horizon : split_doubles(args.get("horizons", "120"))) {
     const auto eval = data::build_horizon_eval(span, horizon, stride);
     const core::HorizonPrediction pred = core::predict_cascade(net, eval);
