@@ -30,13 +30,7 @@ using benchsupport::shared_net;
 /// a features x batch panel at T, the staging of the serve engines.
 template <typename T>
 nn::MatrixT<T> to_panel(const nn::Matrix& rows) {
-  nn::MatrixT<T> panel(rows.cols(), rows.rows());
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    for (std::size_t c = 0; c < rows.cols(); ++c) {
-      panel(c, r) = static_cast<T>(rows(r, c));
-    }
-  }
-  return panel;
+  return nn::MatrixT<T>(nn::transpose(rows));
 }
 
 /// Raw Branch-2 inputs staged as the serve engines stage them: a 4 x batch

@@ -144,18 +144,20 @@ std::vector<double> DeMlpEstimator::predict(const data::Trace& trace,
 
   // One batched forward over every stride-th sample through the f64 panel
   // snapshot: a feature-major 3 x n panel, standardized, then the net.
-  nn::MatrixT<double> raw(3, n);
+  nn::Matrix raw(3, n);
   std::size_t j = 0;
   for (std::size_t t = 0; t < trace.size(); t += stride, ++j) {
     raw(0, j) = trace[t].voltage;
     raw(1, j) = trace[t].current;
     raw(2, j) = trace[t].temp_c;
   }
-  nn::MatrixT<double> scaled;
-  nn::ScalerStatsT<double>::from(scaler_).transform_columns_into(raw, scaled);
+  nn::Matrix scaled;
   nn::ForwardWorkspaceT<double> ws;
   const auto pred =
-      nn::MlpSnapshotT<double>::from(net_).infer_columns(scaled, ws).data();
+      nn::forward_blocked(nn::MlpSnapshotT<double>::from(net_),
+                          nn::ScalerStatsT<double>::from(scaler_), raw,
+                          scaled, ws)
+          .data();
   return {pred.begin(), pred.end()};
 }
 

@@ -44,17 +44,9 @@ struct InferenceWorkspaceT {
 };
 
 /// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
-/// only: the serve engines stage every batch as a panel.
-///
-/// A panel wider than nn::kColumnsBlock (256) columns runs the whole branch
-/// — standardize, every dense layer and activation — one 256-column block
-/// at a time, and each block's 1 x w result is copied into a 1 x n gather
-/// panel. The hidden panels then stay at rows x 256 (64 KiB for the 32-row
-/// f64 layer) and in L2, instead of one shard-wide pass per layer: a
-/// 16384-column f64 shard would otherwise stream a 4 MiB panel per layer.
-/// Every column is computed independently, so results are bitwise those
-/// of the unblocked chain at every width; panels of <= 256 columns take
-/// the unblocked chain itself.
+/// only: the serve engines stage every batch as a panel, and each branch
+/// runs through nn::forward_blocked (column-blocked past
+/// nn::kColumnsBlock, bitwise equal to the unblocked chain).
 template <typename T>
 class TwoBranchSnapshotT {
  public:
@@ -71,16 +63,16 @@ class TwoBranchSnapshotT {
   /// reference points into `ws` until its next Branch-1 use.
   const nn::MatrixT<T>& estimate_columns(const nn::MatrixT<T>& sensors_columns,
                                          InferenceWorkspaceT<T>& ws) const {
-    return forward(branch1_, scaler1_, sensors_columns, ws.scaled,
-                   ws.branch1);
+    return nn::forward_blocked(branch1_, scaler1_, sensors_columns,
+                               ws.scaled, ws.branch1);
   }
 
   /// Branch-2 panel: branch2_columns is 4 x n ([SoC; avg I; avg T; N]) ->
   /// 1 x n SoC(t+N).
   const nn::MatrixT<T>& predict_columns(const nn::MatrixT<T>& branch2_columns,
                                         InferenceWorkspaceT<T>& ws) const {
-    return forward(branch2_, scaler2_, branch2_columns, ws.scaled,
-                   ws.branch2);
+    return nn::forward_blocked(branch2_, scaler2_, branch2_columns,
+                               ws.scaled, ws.branch2);
   }
 
   [[nodiscard]] const nn::ScalerStatsT<T>& scaler1() const { return scaler1_; }
@@ -91,19 +83,7 @@ class TwoBranchSnapshotT {
   nn::MlpSnapshotT<T> branch2_;
   nn::ScalerStatsT<T> scaler1_;
   nn::ScalerStatsT<T> scaler2_;
-
-  /// One branch over a staged panel, column-blocked past nn::kColumnsBlock.
-  /// The gather panel is `ws` slot num_layers() + 1, past the layer
-  /// buffers and the layerless-copy slot.
-  static const nn::MatrixT<T>& forward(const nn::MlpSnapshotT<T>& branch,
-                                       const nn::ScalerStatsT<T>& scaler,
-                                       const nn::MatrixT<T>& panel,
-                                       nn::MatrixT<T>& scaled,
-                                       nn::ForwardWorkspaceT<T>& ws);
 };
-
-extern template class TwoBranchSnapshotT<float>;
-extern template class TwoBranchSnapshotT<double>;
 
 using TwoBranchSnapshotF32 = TwoBranchSnapshotT<float>;
 

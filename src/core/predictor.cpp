@@ -11,16 +11,6 @@ namespace socpinn::core {
 
 namespace {
 
-/// Feature-major image of a row-major batch, as the engines stage one:
-/// rows (n x features) -> a features x n panel.
-nn::MatrixT<double> to_columns(const nn::Matrix& rows) {
-  nn::MatrixT<double> panel(rows.cols(), rows.rows());
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    for (std::size_t c = 0; c < rows.cols(); ++c) panel(c, r) = rows(r, c);
-  }
-  return panel;
-}
-
 /// The checks both horizon predictors share: a non-empty set whose
 /// workload holds one [avg I, avg T, N] row per sensor row.
 void require_eval(const data::HorizonEvalData& eval, const std::string& who) {
@@ -36,13 +26,13 @@ std::vector<double> estimate_dataset(const TwoBranchNet& net,
                                      const nn::Matrix& sensors) {
   // Branch 1 alone, so a net whose Branch 2 is untrained (Physics-Only)
   // evaluates too.
-  nn::MatrixT<double> scaled;
-  nn::ScalerStatsT<double>::from(net.scaler1())
-      .transform_columns_into(to_columns(sensors), scaled);
+  nn::Matrix scaled;
   nn::ForwardWorkspaceT<double> ws;
-  const auto est = nn::MlpSnapshotT<double>::from(net.branch1())
-                       .infer_columns(scaled, ws)
-                       .data();
+  const auto est =
+      nn::forward_blocked(nn::MlpSnapshotT<double>::from(net.branch1()),
+                          nn::ScalerStatsT<double>::from(net.scaler1()),
+                          nn::transpose(sensors), scaled, ws)
+          .data();
   return {est.begin(), est.end()};
 }
 
@@ -54,9 +44,9 @@ HorizonPrediction predict_cascade(const TwoBranchNet& net,
   InferenceWorkspaceT<double> ws;
   // The Branch-1 panel lives in ws.branch1 and stays valid through the
   // Branch-2 forward, which uses ws.branch2.
-  const nn::MatrixT<double>& soc_now =
-      snapshot.estimate_columns(to_columns(eval.sensors), ws);
-  nn::MatrixT<double> b2(4, n);
+  const nn::Matrix& soc_now =
+      snapshot.estimate_columns(nn::transpose(eval.sensors), ws);
+  nn::Matrix b2(4, n);
   for (std::size_t r = 0; r < n; ++r) {
     b2(0, r) = soc_now(0, r);
     b2(1, r) = eval.workload(r, 0);

@@ -1,117 +1,8 @@
 #include "nn/matrix.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace socpinn::nn {
-
-namespace {
-void require_same_shape(const Matrix& a, const Matrix& b, const char* who) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) {
-    throw std::invalid_argument(
-        std::string(who) + ": shape mismatch (" + std::to_string(a.rows()) +
-        "x" + std::to_string(a.cols()) + " vs " + std::to_string(b.rows()) +
-        "x" + std::to_string(b.cols()) + ")");
-  }
-}
-}  // namespace
-
-Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
-    // Copied, not moved: the default-allocated vector cannot donate its
-    // buffer to the 64-byte-aligned storage. Construction-time only.
-    : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
-  if (data_.size() != rows * cols) {
-    throw std::invalid_argument("Matrix: data size != rows*cols");
-  }
-}
-
-Matrix Matrix::zeros(std::size_t rows, std::size_t cols) {
-  return Matrix(rows, cols, 0.0);
-}
-
-Matrix Matrix::full(std::size_t rows, std::size_t cols, double v) {
-  return Matrix(rows, cols, v);
-}
-
-Matrix Matrix::row_vector(std::span<const double> values) {
-  return Matrix(1, values.size(),
-                std::vector<double>(values.begin(), values.end()));
-}
-
-Matrix Matrix::column_vector(std::span<const double> values) {
-  return Matrix(values.size(), 1,
-                std::vector<double>(values.begin(), values.end()));
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("Matrix::row");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  if (r >= rows_) throw std::out_of_range("Matrix::row");
-  return {data_.data() + r * cols_, cols_};
-}
-
-void Matrix::set_row(std::size_t r, std::span<const double> src) {
-  if (src.size() != cols_) {
-    throw std::invalid_argument("Matrix::set_row: length mismatch");
-  }
-  auto dst = row(r);
-  for (std::size_t c = 0; c < cols_; ++c) dst[c] = src[c];
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  require_same_shape(*this, other, "Matrix::operator+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  require_same_shape(*this, other, "Matrix::operator-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double scalar) {
-  for (auto& v : data_) v *= scalar;
-  return *this;
-}
-
-void Matrix::resize(std::size_t rows, std::size_t cols) {
-  rows_ = rows;
-  cols_ = cols;
-  data_.resize(rows * cols);
-}
-
-void Matrix::fill(double v) {
-  for (auto& x : data_) x = v;
-}
-
-double Matrix::squared_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return acc;
-}
-
-double Matrix::sum() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v;
-  return acc;
-}
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
@@ -186,7 +77,9 @@ Matrix operator-(Matrix a, const Matrix& b) {
 }
 
 Matrix hadamard(const Matrix& a, const Matrix& b) {
-  require_same_shape(a, b, "hadamard");
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    throw std::invalid_argument("hadamard: shape mismatch");
+  }
   Matrix c = a;
   for (std::size_t i = 0; i < c.size(); ++i) {
     c.data()[i] *= b.data()[i];

@@ -1,5 +1,6 @@
 #include "nn/panel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -83,12 +84,9 @@ ScalerStatsT<T> ScalerStatsT<T>::from(const StandardScaler& scaler) {
   if (!scaler.fitted()) {
     throw std::logic_error("ScalerStatsT::from: scaler not fitted");
   }
-  ScalerStatsT stats;
-  stats.means.reserve(scaler.num_features());
-  stats.stds.reserve(scaler.num_features());
-  for (const double m : scaler.means()) stats.means.push_back(static_cast<T>(m));
-  for (const double s : scaler.stds()) stats.stds.push_back(static_cast<T>(s));
-  return stats;
+  const auto& m = scaler.means();
+  const auto& s = scaler.stds();
+  return {{m.begin(), m.end()}, {s.begin(), s.end()}};
 }
 
 template <typename T>
@@ -126,16 +124,8 @@ MlpSnapshotT<T> MlpSnapshotT<T>::from(const Mlp& mlp) {
     Step step;
     if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
       step.is_dense = true;
-      const Matrix& w = dense->weights();
-      const Matrix& b = dense->bias();
-      step.w.resize(w.rows(), w.cols());
-      for (std::size_t e = 0; e < w.size(); ++e) {
-        step.w.data()[e] = static_cast<T>(w.data()[e]);
-      }
-      step.b.resize(1, b.cols());
-      for (std::size_t e = 0; e < b.size(); ++e) {
-        step.b.data()[e] = static_cast<T>(b.data()[e]);
-      }
+      step.w = MatrixT<T>(dense->weights());
+      step.b = MatrixT<T>(dense->bias());
     } else if (const auto* act = dynamic_cast<const Activation*>(&layer)) {
       step.act = act->kind();
     } else {
@@ -183,6 +173,37 @@ SOCPINN_HOT const MatrixT<T>& MlpSnapshotT<T>::infer_columns(
   return *x;
 }
 
+template <typename T>
+SOCPINN_HOT const MatrixT<T>& forward_blocked(const MlpSnapshotT<T>& branch,
+                                              const ScalerStatsT<T>& scaler,
+                                              const MatrixT<T>& panel,
+                                              MatrixT<T>& scaled,
+                                              ForwardWorkspaceT<T>& ws) {
+  const std::size_t n = panel.cols();
+  if (n <= kColumnsBlock) {
+    scaler.transform_columns_into(panel, scaled);
+    return branch.infer_columns(scaled, ws);
+  }
+  // Grow the slot list before taking the gather reference: infer_columns
+  // then finds every slot it needs and never reallocates the list.
+  const std::size_t gather_slot = branch.num_layers() + 1;
+  ws.ensure(gather_slot + 1);
+  MatrixT<T>& gathered = ws.buffer(gather_slot);
+  for (std::size_t first = 0; first < n; first += kColumnsBlock) {
+    const std::size_t w = std::min(kColumnsBlock, n - first);
+    scaler.transform_columns_into(panel, first, w, scaled);
+    const MatrixT<T>& block = branch.infer_columns(scaled, ws);
+    if (first == 0) {
+      // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, shard width fixed
+      gathered.resize(block.rows(), n);
+    }
+    for (std::size_t r = 0; r < block.rows(); ++r) {
+      for (std::size_t j = 0; j < w; ++j) gathered(r, first + j) = block(r, j);
+    }
+  }
+  return gathered;
+}
+
 // The two supported serve precisions: double is the batched forward of
 // the f64 engines and of evaluation, bitwise equal to Mlp::infer_sample;
 // float is the deployed reduced-precision backend.
@@ -198,5 +219,11 @@ template struct ScalerStatsT<float>;
 template struct ScalerStatsT<double>;
 template class MlpSnapshotT<float>;
 template class MlpSnapshotT<double>;
+template const MatrixT<float>& forward_blocked<float>(
+    const MlpSnapshotT<float>&, const ScalerStatsT<float>&,
+    const MatrixT<float>&, MatrixT<float>&, ForwardWorkspaceT<float>&);
+template const MatrixT<double>& forward_blocked<double>(
+    const MlpSnapshotT<double>&, const ScalerStatsT<double>&,
+    const MatrixT<double>&, MatrixT<double>&, ForwardWorkspaceT<double>&);
 
 }  // namespace socpinn::nn

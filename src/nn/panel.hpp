@@ -1,77 +1,26 @@
 #pragma once
 /// \file panel.hpp
-/// Scalar-templated carriers for the serve-side inference path.
+/// The feature-major serve forward over MatrixT<T> panels (nn/matrix.hpp).
 ///
-/// Training stays on nn::Matrix (double); these types carry the
-/// feature-major panel seam — the only batched forward — that
-/// RolloutEngine / FleetEngine serve through at either precision, and
-/// that whole-dataset evaluation runs at double. At float the same
-/// register tiles pack twice the SIMD lanes. Weights and scaler stats are
-/// converted ONCE from a trained f64 model (MlpSnapshotT / ScalerStatsT),
-/// so the training network is never touched by serving. Instantiated at
-/// double, MlpSnapshotT reproduces the scalar reference Mlp::infer_sample
-/// bitwise (tests/nn/test_panel.cpp), which pins the template to the
-/// reference arithmetic.
+/// These types carry the only batched forward: RolloutEngine / FleetEngine
+/// serve through it at either precision, and whole-dataset evaluation runs
+/// it at double. At float the same register tiles pack twice the SIMD
+/// lanes. Weights and scaler stats are converted ONCE from a trained f64
+/// model (MlpSnapshotT / ScalerStatsT), so the training network is never
+/// touched by serving. Instantiated at double, MlpSnapshotT reproduces the
+/// scalar reference Mlp::infer_sample bitwise (tests/nn/test_panel.cpp),
+/// which pins the template to the reference arithmetic.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "nn/activation.hpp"
-#include "nn/aligned.hpp"
 #include "nn/matrix.hpp"
 #include "nn/scaler.hpp"
 
 namespace socpinn::nn {
 
 class Mlp;
-
-/// Dense row-major matrix of T — the minimal carrier the templated serve
-/// path needs (element access, capacity-reusing resize, raw spans). Kept
-/// deliberately smaller than nn::Matrix: training-side algebra never runs
-/// at reduced precision.
-template <typename T>
-class MatrixT {
- public:
-  MatrixT() = default;
-  MatrixT(std::size_t rows, std::size_t cols, T fill = T(0))
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-
-  /// Unchecked element access (hot path).
-  T& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  T operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-
-  /// Raw row-major storage.
-  [[nodiscard]] std::span<const T> data() const { return data_; }
-  [[nodiscard]] std::span<T> data() { return data_; }
-
-  /// Reshapes to rows x cols, reusing the existing allocation whenever the
-  /// new size fits the current capacity (element values are unspecified
-  /// afterwards — callers overwrite). Same contract as Matrix::resize: the
-  /// primitive that keeps workspace buffers allocation-free.
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols);
-  }
-
-  void fill(T v) {
-    for (auto& x : data_) x = v;
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  /// 64-byte-aligned like nn::Matrix (see aligned.hpp).
-  AlignedVector<T> data_;
-};
 
 /// Feature-major dense forward over MatrixT panels: `activations` is
 /// (in_features x batch), `weights` (in x out) row-major, `bias_row`
@@ -124,12 +73,6 @@ struct ScalerStatsT {
   void transform_columns_into(const MatrixT<T>& x, std::size_t first,
                               std::size_t count, MatrixT<T>& out) const;
 };
-
-/// Column block of the serve forward (see core::TwoBranchSnapshotT). 256 is
-/// a multiple of every ISA's register tile (up to 64 f32 columns), so
-/// blocks add no scalar remainder. On fleet_bulk's 16384-column f64 shards
-/// 128 measured within 3% of 256 and 512 about 7% slower.
-inline constexpr std::size_t kColumnsBlock = 256;
 
 /// Pad tile of the serve engines: they stage a panel at least this many
 /// columns wide (zero_pad_columns fills the pad), so a thin batch still
@@ -189,6 +132,25 @@ class MlpSnapshotT {
   std::vector<Step> steps_;
 };
 
-using MatrixF32 = MatrixT<float>;
+/// Column block of forward_blocked. 256 is a multiple of every ISA's
+/// register tile (up to 64 f32 columns), so blocks add no scalar
+/// remainder. On fleet_bulk's 16384-column f64 shards 128 measured within
+/// 3% of 256 and 512 about 7% slower.
+inline constexpr std::size_t kColumnsBlock = 256;
+
+/// One branch over a raw feature-major panel: standardize with `scaler`
+/// into `scaled`, then run `branch`; the (out_features x n) result points
+/// into `ws` until its next use. A panel wider than kColumnsBlock runs that
+/// whole chain one block at a time and gathers each block's output in `ws`
+/// slot num_layers() + 1 (past the layer buffers and the layerless-copy
+/// slot), so the hidden panels stay at rows x 256 (64 KiB for the 32-row
+/// f64 layer) and in L2 instead of streaming a panel-wide buffer per layer.
+/// Columns are independent, so results are bitwise those of the unblocked
+/// chain at every width.
+template <typename T>
+const MatrixT<T>& forward_blocked(const MlpSnapshotT<T>& branch,
+                                  const ScalerStatsT<T>& scaler,
+                                  const MatrixT<T>& panel, MatrixT<T>& scaled,
+                                  ForwardWorkspaceT<T>& ws);
 
 }  // namespace socpinn::nn

@@ -32,15 +32,16 @@ Matrix read_matrix(std::istream& in) {
   if (!(in >> rows >> cols)) {
     throw std::runtime_error("load_mlp: bad matrix header");
   }
-  Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (!(in >> m(r, c))) {
-        throw std::runtime_error("load_mlp: truncated matrix data");
-      }
-    }
+  // Values are appended as they parse, so memory is bounded by the input,
+  // not by the header. A rows*cols that wraps reads too few values, and the
+  // Matrix constructor rejects it.
+  std::vector<double> data;
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    double v = 0.0;
+    if (!(in >> v)) throw std::runtime_error("load_mlp: truncated matrix data");
+    data.push_back(v);
   }
-  return m;
+  return Matrix(rows, cols, std::move(data));
 }
 
 }  // namespace
@@ -121,12 +122,14 @@ StandardScaler load_scaler(std::istream& in) {
       version != 1) {
     throw std::runtime_error("load_scaler: bad header");
   }
-  std::vector<double> means(n), stds(n);
-  for (auto& m : means) {
-    if (!(in >> m)) throw std::runtime_error("load_scaler: truncated means");
-  }
-  for (auto& s : stds) {
-    if (!(in >> s)) throw std::runtime_error("load_scaler: truncated stds");
+  // Appended as parsed: n comes from the stream and must not size memory.
+  std::vector<double> means, stds;
+  for (auto* values : {&means, &stds}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = 0.0;
+      if (!(in >> v)) throw std::runtime_error("load_scaler: truncated moments");
+      values->push_back(v);
+    }
   }
   return StandardScaler::from_moments(std::move(means), std::move(stds));
 }

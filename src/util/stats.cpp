@@ -44,7 +44,10 @@ double max_of(std::span<const double> xs) {
 
 double quantile(std::span<const double> xs, double q) {
   require_nonempty(xs, "quantile");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
+  // Written so that NaN fails too: a NaN q would reach the size_t cast.
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument("quantile: q outside [0,1]");
+  }
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
   const double pos = q * static_cast<double>(sorted.size() - 1);

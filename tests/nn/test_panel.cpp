@@ -34,15 +34,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, util::Rng& rng) {
   return m;
 }
 
-template <typename T>
-MatrixT<T> to_panel(const Matrix& m) {
-  MatrixT<T> out(m.rows(), m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    out.data()[i] = static_cast<T>(m.data()[i]);
-  }
-  return out;
-}
-
 /// A one-layer Mlp holding exactly (w, b): the scalar reference of a
 /// single dense panel.
 Mlp dense_mlp(const Matrix& w, const Matrix& b) {
@@ -69,20 +60,6 @@ Matrix reference_columns(const Mlp& mlp, const Matrix& panel) {
   return out;
 }
 
-TEST(MatrixT, ResizeReusesCapacityAndKeepsShape) {
-  MatrixT<float> m(4, 8, 1.0f);
-  EXPECT_EQ(m.rows(), 4u);
-  EXPECT_EQ(m.cols(), 8u);
-  EXPECT_EQ(m.size(), 32u);
-  m.resize(2, 3);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 3u);
-  m.fill(2.5f);
-  for (const float v : m.data()) EXPECT_EQ(v, 2.5f);
-  m(1, 2) = -1.0f;
-  EXPECT_EQ(m(1, 2), -1.0f);
-}
-
 TEST(PanelKernel, DoubleInstantiationMatchesScalarReferenceBitwise) {
   util::Rng rng(11);
   // Shapes straddle every kernel path: full 32-wide tiles, the scalar
@@ -98,11 +75,8 @@ TEST(PanelKernel, DoubleInstantiationMatchesScalarReferenceBitwise) {
       const Matrix a = random_matrix(shape[0], batch, rng);
       const Matrix expected = reference_columns(reference, a);
 
-      const auto at = to_panel<double>(a);
-      const auto wt = to_panel<double>(w);
-      const auto bt = to_panel<double>(b);
-      MatrixT<double> got;
-      dense_forward_columns(at, wt, bt, got);
+      Matrix got;
+      dense_forward_columns(a, w, b, got);
       ASSERT_EQ(got.rows(), expected.rows());
       ASSERT_EQ(got.cols(), expected.cols());
       for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -124,13 +98,12 @@ TEST(PanelKernel, FloatTracksDoubleWithinRoundoff) {
        {std::size_t{1}, std::size_t{17}, std::size_t{32}, std::size_t{48},
         std::size_t{63}, std::size_t{64}, std::size_t{129}}) {
     const Matrix a = random_matrix(16, batch, rng);
-    MatrixT<double> expected;
-    dense_forward_columns(to_panel<double>(a), to_panel<double>(w),
-                          to_panel<double>(b), expected);
+    Matrix expected;
+    dense_forward_columns(a, w, b, expected);
 
-    const auto af = to_panel<float>(a);
-    const auto wf = to_panel<float>(w);
-    const auto bf = to_panel<float>(b);
+    const auto af = MatrixT<float>(a);
+    const auto wf = MatrixT<float>(w);
+    const auto bf = MatrixT<float>(b);
     MatrixT<float> got;
     dense_forward_columns(af, wf, bf, got);
     ASSERT_EQ(got.rows(), expected.rows());
@@ -202,9 +175,8 @@ TEST(ScalerStats, TransformColumnsMatchesScalerAtDouble) {
   }
 
   const auto stats = ScalerStatsT<double>::from(scaler);
-  const auto xt = to_panel<double>(x);
-  MatrixT<double> got;
-  stats.transform_columns_into(xt, got);
+  Matrix got;
+  stats.transform_columns_into(x, got);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(got.data()[i], expected.data()[i]);
   }
@@ -253,8 +225,7 @@ TEST(MlpSnapshot, DoubleSnapshotMatchesInferSampleBitwise) {
        {std::size_t{1}, std::size_t{33}, std::size_t{64}, std::size_t{97}}) {
     const Matrix input = random_matrix(4, batch, rng);
     const Matrix expected = reference_columns(mlp, input);
-    const auto it = to_panel<double>(input);
-    const MatrixT<double>& got = snapshot.infer_columns(it, wst);
+    const Matrix& got = snapshot.infer_columns(input, wst);
     ASSERT_EQ(got.rows(), expected.rows());
     ASSERT_EQ(got.cols(), expected.cols());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -274,7 +245,7 @@ TEST(MlpSnapshot, FloatSnapshotTracksDoubleWithinTolerance) {
   ForwardWorkspaceT<float> wsf;
   const Matrix input = random_matrix(4, 80, rng);
   const Matrix expected = reference_columns(mlp, input);
-  const auto inf = to_panel<float>(input);
+  const auto inf = MatrixT<float>(input);
   const MatrixT<float>& got = snapshot.infer_columns(inf, wsf);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(got.data()[i]), expected.data()[i],

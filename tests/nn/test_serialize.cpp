@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -56,6 +57,21 @@ TEST(SerializeMlp, RejectsTruncatedStream) {
   EXPECT_THROW((void)load_mlp(truncated), std::runtime_error);
 }
 
+TEST(SerializeMlp, RejectsMatrixHeaderLargerThanItsData) {
+  // 2^32 x 2^32 wraps rows*cols to 0 and 2^32 x (2^32 + 1) to 2^32, and
+  // SIZE_MAX x 2 wraps too: the load must throw, not write through an empty
+  // buffer or size memory from the header. SIZE_MAX x 0 is empty and must
+  // not walk SIZE_MAX rows.
+  for (const char* header :
+       {"4294967296 4294967296", "4294967296 4294967297",
+        "18446744073709551615 2", "1000000 1000000",
+        "18446744073709551615 0"}) {
+    std::stringstream stream(std::string("socpinn-mlp 1\n1\ndense\n") +
+                             header + "\n1 2 3\n");
+    EXPECT_THROW((void)load_mlp(stream), std::exception) << header;
+  }
+}
+
 TEST(SerializeScaler, RoundTrips) {
   StandardScaler scaler =
       StandardScaler::from_moments({1.0, -2.5}, {0.1, 3.0});
@@ -75,6 +91,15 @@ TEST(SerializeScaler, RejectsUnfitted) {
 TEST(SerializeScaler, RejectsBadHeader) {
   std::stringstream stream("wrong 1 2\n");
   EXPECT_THROW((void)load_scaler(stream), std::runtime_error);
+}
+
+TEST(SerializeScaler, RejectsFeatureCountLargerThanItsData) {
+  // The count is read from the stream; it must not size an allocation.
+  for (const char* count : {"1000000000000", "18446744073709551615"}) {
+    std::stringstream stream(std::string("socpinn-scaler 1\n") + count +
+                             "\n1 2\n3 4\n");
+    EXPECT_THROW((void)load_scaler(stream), std::exception) << count;
+  }
 }
 
 TEST(SerializeMlp, FileRoundTrip) {

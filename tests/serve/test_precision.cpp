@@ -50,13 +50,7 @@ void expect_soc_close(const core::Rollout& f32, const core::Rollout& f64,
 /// Feature-major copy of a row-major batch (rows -> columns) at T.
 template <typename T>
 nn::MatrixT<T> to_panel(const nn::Matrix& rows) {
-  nn::MatrixT<T> panel(rows.cols(), rows.rows());
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    for (std::size_t c = 0; c < rows.cols(); ++c) {
-      panel(c, r) = static_cast<T>(rows(r, c));
-    }
-  }
-  return panel;
+  return nn::MatrixT<T>(nn::transpose(rows));
 }
 
 /// Panel widths around the vectorized tile (32) and the serve forward's

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -54,6 +55,7 @@ TEST(Stats, QuantileInterpolates) {
 TEST(Stats, QuantileRejectsOutOfRange) {
   const std::vector<double> xs{1.0, 2.0};
   EXPECT_THROW((void)quantile(xs, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(xs, std::nan("")), std::invalid_argument);
 }
 
 TEST(RunningStats, MatchesBatchFormulas) {

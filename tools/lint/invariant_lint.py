@@ -66,6 +66,13 @@ Checks (names usable in waiver comments and reports):
                  block, by seq_wake(...) on the same field. The peer blocks in seq_wait; without the wake it
                  still sees the store at its 100us bound, so a dropped
                  wake passes every parity test and only shows as latency.
+  aligned-storage
+                 AlignedVector / AlignedAllocator (the 64-byte-aligned
+                 storage of nn/aligned.hpp) are named only in
+                 nn/aligned.hpp and nn/matrix.hpp: MatrixT<T> is the one
+                 dense-matrix class, and a second carrier with its own
+                 aligned buffer would duplicate its storage, reshape and
+                 allocation.
 
 The linter is heuristic by design (stdlib-only Python, no C++ parser):
 it masks comments/strings, balances parentheses across lines, and
@@ -683,6 +690,23 @@ def check_seq_wake(rel: str, text: str, masked: str) -> list[tuple]:
     return findings
 
 
+# ------------------------------------------------ check: aligned-storage
+
+ALIGNED_STORAGE = re.compile(r"\bAligned(?:Vector|Allocator)\b")
+ALIGNED_STORAGE_OWNERS = frozenset((("nn", "aligned.hpp"),
+                                    ("nn", "matrix.hpp")))
+
+
+def check_aligned_storage(rel: str, text: str, masked: str) -> list[tuple]:
+    if tuple(Path(rel).parts[-2:]) in ALIGNED_STORAGE_OWNERS:
+        return []
+    return [(rel, line_of(masked, m.start()), "aligned-storage",
+             f"{m.group(0)} outside nn/aligned.hpp and nn/matrix.hpp — "
+             f"dense buffers belong in nn::MatrixT, the one matrix class; "
+             f"a second aligned carrier duplicates its storage and reshape")
+            for m in ALIGNED_STORAGE.finditer(masked)]
+
+
 # ---------------------------------------------------- check: fp-contract
 
 FMA_CALL = re.compile(r"\b(?:std\s*::\s*)?fma[fl]?\s*\(")
@@ -728,6 +752,7 @@ def lint_file(path: Path, root: Path) -> list[tuple]:
     findings += check_hot_alloc(rel, text, masked, comments)
     findings += check_stale_waivers(rel, text, masked, comments)
     findings += check_fp_contract(rel, text, masked)
+    findings += check_aligned_storage(rel, text, masked)
     return findings
 
 
@@ -760,7 +785,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(f"invariant_lint: clean ({len(files)} files, checks: "
           f"atomic-order seqlock-discipline seq-wake hot-alloc "
-          f"stale-waiver fp-contract)")
+          f"stale-waiver fp-contract aligned-storage)")
     return 0
 
 

@@ -2,9 +2,9 @@
 # Single local entry point for the static-analysis gate — reproduces the
 # CI `static-analysis` job's verdicts:
 #
-#   1. invariant linter (atomic-order, seqlock-discipline, hot-alloc,
-#      fp-contract) + its fixture self-tests and the bench-regression
-#      checker's unit tests
+#   1. invariant linter (atomic-order, seqlock-discipline, seq-wake,
+#      hot-alloc, stale-waiver, fp-contract, aligned-storage) + its
+#      fixture self-tests and the bench-regression checker's unit tests
 #   2. header self-containment (every public header compiles standalone)
 #   3. clang-tidy over compile_commands.json — skipped with a notice if
 #      clang-tidy is not installed (CI always runs it)

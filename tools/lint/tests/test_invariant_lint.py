@@ -40,7 +40,8 @@ import re
 def expected_lines(path: Path) -> list[int]:
     """1-based line numbers tagged `// EXPECT <check>` in a fixture."""
     tag = re.compile(r"//\s*EXPECT\s+(?:atomic-order|hot-alloc|fp-contract"
-                     r"|seqlock-discipline|stale-waiver|seq-wake)")
+                     r"|seqlock-discipline|stale-waiver|seq-wake"
+                     r"|aligned-storage)")
     return [i for i, raw in enumerate(path.read_text().splitlines(), 1)
             if tag.search(raw)]
 
@@ -230,6 +231,40 @@ class TestSeqWake(unittest.TestCase):
             path.parent.mkdir()
             path.write_text(text)
             self.assertEqual(lint.lint_file(path, Path(tmp)), [])
+
+
+class TestAlignedStorage(unittest.TestCase):
+    FIXTURE = BAD / "nn" / "bad_aligned_storage.hpp"
+
+    def findings(self):
+        return [f for f in run_dir(BAD) if f[2] == "aligned-storage"]
+
+    def test_every_seeded_violation_is_flagged(self):
+        flagged = {f[1] for f in self.findings()
+                   if f[0].endswith("bad_aligned_storage.hpp")}
+        self.assertEqual(flagged, set(expected_lines(self.FIXTURE)))
+
+    def test_both_names_fire(self):
+        msgs = " ".join(f[3] for f in self.findings())
+        self.assertIn("AlignedVector", msgs)
+        self.assertIn("AlignedAllocator", msgs)
+
+    def test_owners_and_mentions_pass(self):
+        clean = [f for f in run_dir(GOOD) if f[2] == "aligned-storage"]
+        self.assertEqual(clean, [])
+        # Non-vacuous: the owner fixtures do name the storage in code.
+        self.assertIn("AlignedVector<T> data_;",
+                      (GOOD / "nn" / "matrix.hpp").read_text())
+
+    def test_owner_is_matched_by_directory_and_name(self):
+        text = "nn::AlignedVector<double> v;\n"
+        masked, _ = lint.mask_comments_and_strings(text)
+        for owner in ("nn/aligned.hpp", "nn/matrix.hpp"):
+            self.assertEqual(
+                lint.check_aligned_storage(owner, text, masked), [])
+        for other in ("nn/panel.hpp", "serve/matrix.hpp", "core/x.cpp"):
+            self.assertTrue(
+                lint.check_aligned_storage(other, text, masked), other)
 
 
 class TestFpContract(unittest.TestCase):
