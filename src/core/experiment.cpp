@@ -139,13 +139,18 @@ TrainedModel train_two_branch(const ExperimentSetup& setup,
 
   TrainedModel model{TwoBranchNet(TwoBranchConfig{}, seed), {}, {}};
   model.branch1_history = train_branch1(model.net, b1_train, train);
-  if (variant.kind != VariantKind::kPhysicsOnly) {
-    std::optional<PhysicsConfig> physics;
-    if (variant.kind == VariantKind::kPinn) {
-      physics = physics_for(setup, b2_train, variant.physics_horizons_s);
-    }
-    model.branch2_history = train_branch2(model.net, b2_train, physics, train);
+  if (variant.kind == VariantKind::kPhysicsOnly) {
+    // Branch 2 stays untrained and physics lanes never run it, but the
+    // serve engines convert both scalers (core::require_trained), so the
+    // model still needs a fitted Branch-2 scaler to be served at all.
+    model.net.scaler2().fit(b2_train.x);
+    return model;
   }
+  std::optional<PhysicsConfig> physics;
+  if (variant.kind == VariantKind::kPinn) {
+    physics = physics_for(setup, b2_train, variant.physics_horizons_s);
+  }
+  model.branch2_history = train_branch2(model.net, b2_train, physics, train);
   return model;
 }
 

@@ -44,9 +44,10 @@ struct InferenceWorkspaceT {
 };
 
 /// Immutable T-precision twin of a trained TwoBranchNet. Feature-major
-/// only: the serve engines stage every batch as a panel, and each branch
-/// runs through nn::forward_blocked (column-blocked past
-/// nn::kColumnsBlock, bitwise equal to the unblocked chain).
+/// only: the serve engines stage every batch as a panel of exactly its
+/// columns, and each branch runs through nn::forward_blocked (padded when
+/// thin, column-blocked past nn::kColumnsBlock, bitwise equal to the
+/// unpadded, unblocked chain).
 template <typename T>
 class TwoBranchSnapshotT {
  public:

@@ -51,6 +51,34 @@ SOCPINN_HOT void activate_columns(ActivationKind kind, const MatrixT<T>& in,
   throw std::logic_error("activate_columns: unknown activation kind");
 }
 
+/// Standardizes columns [first, first + count) of x into the leading
+/// columns of out, resized to x.rows() x width, and zeroes the pad columns
+/// [count, width). Per element the arithmetic of
+/// StandardScaler::transform_row: (x - mean) / std.
+template <typename T>
+SOCPINN_HOT void standardize_padded(const ScalerStatsT<T>& stats,
+                                    const MatrixT<T>& x, std::size_t first,
+                                    std::size_t count, std::size_t width,
+                                    MatrixT<T>& out) {
+  if (stats.means.empty()) {
+    throw std::logic_error("ScalerStatsT: empty stats");
+  }
+  if (x.rows() != stats.means.size()) {
+    throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
+                                "feature rows");
+  }
+  // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
+  out.resize(x.rows(), width);
+  for (std::size_t f = 0; f < x.rows(); ++f) {
+    const T mean = stats.means[f];
+    const T std = stats.stds[f];
+    for (std::size_t j = 0; j < count; ++j) {
+      out(f, j) = (x(f, first + j) - mean) / std;
+    }
+    for (std::size_t j = count; j < width; ++j) out(f, j) = T(0);
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -91,28 +119,8 @@ ScalerStatsT<T> ScalerStatsT<T>::from(const StandardScaler& scaler) {
 
 template <typename T>
 SOCPINN_HOT void ScalerStatsT<T>::transform_columns_into(
-    const MatrixT<T>& x, std::size_t first, std::size_t count,
-    MatrixT<T>& out) const {
-  if (means.empty()) {
-    throw std::logic_error("ScalerStatsT: empty stats");
-  }
-  if (x.rows() != means.size()) {
-    throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
-                                "feature rows");
-  }
-  if (first > x.cols() || count > x.cols() - first) {
-    throw std::invalid_argument("ScalerStatsT::transform_columns_into: "
-                                "column range");
-  }
-  // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, layer shapes fixed
-  out.resize(x.rows(), count);
-  for (std::size_t f = 0; f < x.rows(); ++f) {
-    const T mean = means[f];
-    const T std = stds[f];
-    for (std::size_t j = 0; j < count; ++j) {
-      out(f, j) = (x(f, first + j) - mean) / std;
-    }
-  }
+    const MatrixT<T>& x, MatrixT<T>& out) const {
+  standardize_padded(*this, x, 0, x.cols(), x.cols(), out);
 }
 
 template <typename T>
@@ -180,18 +188,17 @@ SOCPINN_HOT const MatrixT<T>& forward_blocked(const MlpSnapshotT<T>& branch,
                                               MatrixT<T>& scaled,
                                               ForwardWorkspaceT<T>& ws) {
   const std::size_t n = panel.cols();
-  if (n <= kColumnsBlock) {
-    scaler.transform_columns_into(panel, scaled);
-    return branch.infer_columns(scaled, ws);
-  }
+  const std::size_t min_width = n < kColumnsMinBatch ? kColumnsMinBatch : 0;
   // Grow the slot list before taking the gather reference: infer_columns
   // then finds every slot it needs and never reallocates the list.
   const std::size_t gather_slot = branch.num_layers() + 1;
   ws.ensure(gather_slot + 1);
   MatrixT<T>& gathered = ws.buffer(gather_slot);
-  for (std::size_t first = 0; first < n; first += kColumnsBlock) {
+  std::size_t first = 0;
+  do {  // once even for n == 0, so the result is sized (rows x 0)
     const std::size_t w = std::min(kColumnsBlock, n - first);
-    scaler.transform_columns_into(panel, first, w, scaled);
+    standardize_padded(scaler, panel, first, w, std::max(w, min_width),
+                       scaled);
     const MatrixT<T>& block = branch.infer_columns(scaled, ws);
     if (first == 0) {
       // SOCPINN_HOT_ALLOW(resize): warm workspace capacity, shard width fixed
@@ -200,7 +207,8 @@ SOCPINN_HOT const MatrixT<T>& forward_blocked(const MlpSnapshotT<T>& branch,
     for (std::size_t r = 0; r < block.rows(); ++r) {
       for (std::size_t j = 0; j < w; ++j) gathered(r, first + j) = block(r, j);
     }
-  }
+    first += w;
+  } while (first < n);
   return gathered;
 }
 

@@ -34,18 +34,6 @@ void dense_forward_columns(const MatrixT<T>& activations,
                            const MatrixT<T>& weights,
                            const MatrixT<T>& bias_row, MatrixT<T>& out);
 
-/// Zeroes columns [from_col, cols()) of a staged panel — the pad columns
-/// that round a thin batch up to the vectorized tile width. Per-column
-/// panel results are independent, so pad outputs (discarded by every
-/// caller) never affect real lanes; zero inputs merely keep the pad
-/// arithmetic finite through the scaler.
-template <typename T>
-void zero_pad_columns(MatrixT<T>& m, std::size_t from_col) {
-  for (std::size_t f = 0; f < m.rows(); ++f) {
-    for (std::size_t j = from_col; j < m.cols(); ++j) m(f, j) = T(0);
-  }
-}
-
 /// StandardScaler moments converted once to T: the serve-side standardize
 /// step of the reduced-precision backend.
 template <typename T>
@@ -63,20 +51,15 @@ struct ScalerStatsT {
   /// Feature-major standardize: x is (features x batch), row f standardized
   /// with moments f, written into out with capacity reuse. Per element the
   /// arithmetic of StandardScaler::transform_row: (x - mean) / std.
-  void transform_columns_into(const MatrixT<T>& x, MatrixT<T>& out) const {
-    transform_columns_into(x, 0, x.cols(), out);
-  }
-
-  /// Column-range form: standardizes columns [first, first + count) of x
-  /// into out (features x count), element for element the same arithmetic
-  /// as the whole-panel form — the per-block step of the blocked forward.
-  void transform_columns_into(const MatrixT<T>& x, std::size_t first,
-                              std::size_t count, MatrixT<T>& out) const;
+  /// forward_blocked runs the same arithmetic block by block.
+  void transform_columns_into(const MatrixT<T>& x, MatrixT<T>& out) const;
 };
 
-/// Pad tile of the serve engines: they stage a panel at least this many
-/// columns wide (zero_pad_columns fills the pad), so a thin batch still
-/// runs the vectorized kernel instead of its scalar remainder.
+/// Pad tile of forward_blocked: a panel narrower than this runs padded
+/// with zero columns to this width, so a thin batch (a few re-anchored
+/// cells, the last lanes of a rollout) still runs the vectorized kernel
+/// instead of its scalar remainder. Callers stage exactly their columns;
+/// this policy lives only here and in panel.cpp (lint rule pad-policy).
 inline constexpr std::size_t kColumnsMinBatch = 32;
 
 /// Preallocated activation panels for one MlpSnapshotT inference pass.
@@ -140,13 +123,18 @@ inline constexpr std::size_t kColumnsBlock = 256;
 
 /// One branch over a raw feature-major panel: standardize with `scaler`
 /// into `scaled`, then run `branch`; the (out_features x n) result points
-/// into `ws` until its next use. A panel wider than kColumnsBlock runs that
-/// whole chain one block at a time and gathers each block's output in `ws`
-/// slot num_layers() + 1 (past the layer buffers and the layerless-copy
-/// slot), so the hidden panels stay at rows x 256 (64 KiB for the 32-row
-/// f64 layer) and in L2 instead of streaming a panel-wide buffer per layer.
-/// Columns are independent, so results are bitwise those of the unblocked
-/// chain at every width.
+/// into `ws` until its next use. The chain runs one block of at most
+/// kColumnsBlock columns at a time, so the hidden panels stay at
+/// rows x 256 (64 KiB for the 32-row f64 layer) and in L2 instead of
+/// streaming a panel-wide buffer per layer. A panel narrower than
+/// kColumnsMinBatch runs as one block padded with zero columns to that
+/// width inside `scaled`; the ragged tail block of a wider panel runs
+/// unpadded. Each block's real columns are gathered in `ws` slot
+/// num_layers() + 1 (past the layer buffers and the layerless-copy slot) at
+/// every width, so that slot stays warm: a thin panel after wider ones
+/// allocates nothing.
+/// Columns are independent, so results are bitwise those of the unblocked,
+/// unpadded chain at every width.
 template <typename T>
 const MatrixT<T>& forward_blocked(const MlpSnapshotT<T>& branch,
                                   const ScalerStatsT<T>& scaler,

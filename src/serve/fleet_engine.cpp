@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/panel_dispatch.hpp"
 #include "util/annotations.hpp"
 #include "util/math.hpp"
 
@@ -29,25 +28,14 @@ void require_finite_sensor_rows(const nn::Matrix& sensors_raw,
 
 }  // namespace
 
-FleetConfig FleetEngine::validated(const core::TwoBranchNet& net,
-                                   std::size_t num_cells, FleetConfig config) {
-  // Runs before the thread pool spawns workers and before any per-cell
-  // state allocates: a bad argument must not cost thread creation.
+const FleetConfig& FleetEngine::validated(std::size_t num_cells,
+                                          const FleetConfig& config) {
   if (num_cells == 0) {
     throw std::invalid_argument("FleetEngine: empty fleet");
   }
-  core::require_trained(net, "FleetEngine: FleetConfig::precision");
   core::validate(config.default_params,
                  "FleetEngine: FleetConfig::default_params");
-  // Force the panel-kernel ISA resolution now: a bad SOCPINN_FORCE_ISA
-  // value throws std::invalid_argument here, on the caller's thread,
-  // instead of from the first tick's forward inside a pool worker.
-  (void)nn::simd::active_isa();
   return config;
-}
-
-const char* FleetEngine::simd_isa() const {
-  return nn::simd::isa_name(nn::simd::active_isa());
 }
 
 Mailbox FleetEngine::make_mailbox(const FleetConfig& config,
@@ -62,40 +50,15 @@ Mailbox FleetEngine::make_mailbox(const FleetConfig& config,
 
 FleetEngine::FleetEngine(const core::TwoBranchNet& net, std::size_t num_cells,
                          FleetConfig config)
-    : config_(validated(net, num_cells, config)),
-      // Weights and scaler stats are converted exactly once, off the hot
-      // path; every tick serves the immutable snapshot published here or
-      // by a later swap_model().
-      model_(std::make_shared<const core::TwoBranchSnapshot>(
-          net, config.precision)),
-      pool_(config.threads),
-      scratch_(config.precision == core::Precision::kFloat32
-                   ? ScratchSet(Scratch<float>(pool_.size()))
-                   : ScratchSet(Scratch<double>(pool_.size()))),
+    : EngineShell(net, validated(num_cells, config).precision, config.threads,
+                  "FleetEngine", "FleetConfig"),
+      config_(config),
       soc_(num_cells, 0.0),
       mailbox_(make_mailbox(config, num_cells)),
       override_(num_cells),
       override_active_(num_cells, 0),
       params_(num_cells, config.default_params),
       cell_mode_(num_cells, 0) {}
-
-void FleetEngine::swap_model(const core::TwoBranchNet& net) {
-  swap_model(std::make_shared<const core::TwoBranchSnapshot>(
-      net, config_.precision));
-}
-
-void FleetEngine::swap_model(
-    std::shared_ptr<const core::TwoBranchSnapshot> snapshot) {
-  if (snapshot == nullptr) {
-    throw std::invalid_argument("FleetEngine::swap_model: null snapshot");
-  }
-  if (snapshot->precision() != config_.precision) {
-    throw std::invalid_argument(
-        "FleetEngine::swap_model: snapshot precision does not match "
-        "FleetConfig::precision");
-  }
-  model_.store(std::move(snapshot));
-}
 
 template <typename T>
 SOCPINN_HOT void FleetEngine::reanchor_batch(
@@ -104,15 +67,13 @@ SOCPINN_HOT void FleetEngine::reanchor_batch(
   if (count == 0) return;
   // SOCPINN_HOT_ALLOW(resize): shrinks into warm capacity after the first
   // full-shard drain (test_alloc_free.cpp probes it)
-  scratch.sensor_input.resize(3, std::max(count, nn::kColumnsMinBatch));
+  scratch.input.resize(3, count);
   for (std::size_t i = 0; i < count; ++i) {
-    scratch.sensor_input(0, i) = static_cast<T>(scratch.reports[i].voltage);
-    scratch.sensor_input(1, i) = static_cast<T>(scratch.reports[i].current);
-    scratch.sensor_input(2, i) = static_cast<T>(scratch.reports[i].temp_c);
+    scratch.input(0, i) = static_cast<T>(scratch.reports[i].voltage);
+    scratch.input(1, i) = static_cast<T>(scratch.reports[i].current);
+    scratch.input(2, i) = static_cast<T>(scratch.reports[i].temp_c);
   }
-  nn::zero_pad_columns(scratch.sensor_input, count);
-  const nn::MatrixT<T>& est =
-      model.estimate_columns(scratch.sensor_input, scratch.ws);
+  const nn::MatrixT<T>& est = model.estimate_columns(scratch.input, scratch.ws);
   for (std::size_t i = 0; i < count; ++i) {
     const double raw = static_cast<double>(est(0, i));
     soc_[scratch.pending[i]] = config_.clamp_soc ? util::clamp01(raw) : raw;
@@ -126,26 +87,22 @@ void FleetEngine::init_from_sensors(const nn::Matrix& sensors_raw) {
   }
   require_finite_sensor_rows(sensors_raw, "FleetEngine::init_from_sensors");
   const util::RoleGuard tick(tick_serial_);
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  dispatch(*model, [&]<typename T>(const core::TwoBranchSnapshotT<T>& snap,
-                                   Scratch<T>& scratch) {
-    pool_.parallel_for(num_cells(), [&](std::size_t shard, std::size_t begin,
-                                        std::size_t end) {
-      // Lambdas are analyzed as separate functions with an empty lockset,
-      // so each pool job enters the shard-execution role itself before
-      // touching the REQUIRES(shard_exec_) helpers.
-      const util::RoleGuard shard_scope(shard_exec_);
-      ShardScratch<T>& s = scratch[shard];
-      s.pending.clear();
-      s.reports.clear();
-      for (std::size_t cell = begin; cell < end; ++cell) {
-        s.pending.push_back(cell);
-        s.reports.push_back(
-            {sensors_raw(cell, 0), sensors_raw(cell, 1), sensors_raw(cell, 2)});
-      }
-      reanchor_batch(s, snap);
-    });
+  for_each_shard(num_cells(), [&]<typename T>(
+                                  const core::TwoBranchSnapshotT<T>& snap,
+                                  ShardScratch<T>& s, std::size_t begin,
+                                  std::size_t end) {
+    // Lambdas are analyzed as separate functions with an empty lockset,
+    // so each pool job enters the shard-execution role itself before
+    // touching the REQUIRES(shard_exec_) helpers.
+    const util::RoleGuard shard_scope(shard_exec_);
+    s.pending.clear();
+    s.reports.clear();
+    for (std::size_t cell = begin; cell < end; ++cell) {
+      s.pending.push_back(cell);
+      s.reports.push_back(
+          {sensors_raw(cell, 0), sensors_raw(cell, 1), sensors_raw(cell, 2)});
+    }
+    reanchor_batch(s, snap);
   });
 }
 
@@ -164,10 +121,8 @@ void FleetEngine::reseed_from_sensors(std::span<const std::size_t> cells,
   require_finite_sensor_rows(sensors_raw, "FleetEngine::reseed_from_sensors");
   if (cells.empty()) return;
   const util::RoleGuard tick(tick_serial_);
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  dispatch(*model, [&]<typename T>(const core::TwoBranchSnapshotT<T>& snap,
-                                   Scratch<T>& scratch) {
+  visit_model([&]<typename T>(const core::TwoBranchSnapshotT<T>& snap,
+                              Scratch<T>& scratch) {
     // The synchronous re-anchor runs the shard helper on the calling
     // thread, so it enters the shard-execution role here.
     const util::RoleGuard shard_scope(shard_exec_);
@@ -340,61 +295,26 @@ SOCPINN_HOT void FleetEngine::drain_shard(
   reanchor_batch(scratch, model);
 }
 
-template <typename T>
-SOCPINN_HOT void FleetEngine::apply_overrides(ShardScratch<T>& scratch,
-                                              std::size_t begin,
-                                              std::size_t count) {
-  // Runs after any staging, before every forward: overrides must survive
-  // both per-tick restaging (step) and the persisted run() fast path.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (override_active_[begin + i] == 0) continue;
-    const WorkloadOverride& o = override_[begin + i];
-    scratch.input(1, i) = static_cast<T>(o.avg_current);
-    scratch.input(2, i) = static_cast<T>(o.avg_temp_c);
-    scratch.input(3, i) = static_cast<T>(o.horizon_s);
-  }
-}
-
-template <typename T>
-SOCPINN_HOT void FleetEngine::forward_shard(
-    ShardScratch<T>& scratch, const core::TwoBranchSnapshotT<T>& model,
-    std::size_t begin, std::size_t count) {
-  // Physics-only cells ride the batched forward (their columns are
-  // computed and discarded — per-column independence makes the padding
-  // free) but keep their prior SoC here: advance_physics reads it right
-  // after this, and Eq. 1 must see the true f64 state, not an NN output.
-  const nn::MatrixT<T>& pred =
-      model.predict_columns(scratch.input, scratch.ws);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (cell_mode_[begin + i] != 0) continue;
-    const double raw = static_cast<double>(pred(0, i));
-    soc_[begin + i] = config_.clamp_soc ? util::clamp01(raw) : raw;
-  }
+SOCPINN_HOT WorkloadOverride FleetEngine::workload_of(
+    std::size_t cell, const double* rows, std::size_t stride) const {
+  if (override_active_[cell] != 0) return override_[cell];
+  const double* row = rows + stride * cell;
+  return {row[0], row[1], row[2]};
 }
 
 SOCPINN_HOT void FleetEngine::advance_physics(std::size_t begin,
                                               std::size_t end,
-                                              const nn::Matrix* workload_raw,
-                                              const double* row3) {
+                                              const double* rows,
+                                              std::size_t stride) {
   const bool clamp = config_.clamp_soc;
   for (std::size_t cell = begin; cell < end; ++cell) {
     if (cell_mode_[cell] == 0) continue;
-    double avg_current, horizon_s;
-    if (override_active_[cell] != 0) {
-      avg_current = override_[cell].avg_current;
-      horizon_s = override_[cell].horizon_s;
-    } else if (workload_raw != nullptr) {
-      avg_current = (*workload_raw)(cell, 0);
-      horizon_s = (*workload_raw)(cell, 2);
-    } else {
-      avg_current = row3[0];
-      horizon_s = row3[2];
-    }
+    const WorkloadOverride w = workload_of(cell, rows, stride);
     // params_[cell] is valid by construction: every write path (config
     // seed, set_cell_params, the drain) validates before assigning, so
     // the non-throwing hot Eq. 1 is safe here.
     const double raw =
-        core::eq1_predict(soc_[cell], avg_current, horizon_s, params_[cell]);
+        core::eq1_predict(soc_[cell], w.avg_current, w.horizon_s, params_[cell]);
     soc_[cell] = clamp ? util::clamp01(raw) : raw;
   }
 }
@@ -405,68 +325,51 @@ void FleetEngine::step(const nn::Matrix& workload_raw) {
         "FleetEngine::step: need num_cells x 3 workload");
   }
   const util::RoleGuard tick(tick_serial_);
-  run_tick(&workload_raw, nullptr);
+  run_tick(workload_raw.data().data(), 3);
 }
 
-SOCPINN_HOT void FleetEngine::run_tick(const nn::Matrix* workload_raw,
-                                       const double* row3) {
-  if (row3 != nullptr) {
-    // Persist the shared row in f64: the run() fast path reuses staged
-    // rows on later ticks (row3 == nullptr), and advance_physics must
-    // read the true doubles, not an f32 staged panel.
-    shared_row_[0] = row3[0];
-    shared_row_[1] = row3[1];
-    shared_row_[2] = row3[2];
-  }
-  // One acquire per tick: every shard of this tick serves the same
-  // snapshot, and a concurrent swap_model lands on the next tick whole.
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  dispatch(*model, [&]<typename T>(const core::TwoBranchSnapshotT<T>& snap,
-                                   Scratch<T>& scratch) {
-    pool_.parallel_for(num_cells(), [&](std::size_t shard, std::size_t begin,
-                                        std::size_t end) {
-      const util::RoleGuard shard_scope(shard_exec_);
-      ShardScratch<T>& s = scratch[shard];
-      const std::size_t count = end - begin;
-      // Drain before staging: a drained sensor report must seed this
-      // tick's Branch-2 SoC input, and a drained override must replace
-      // this tick's workload row.
-      drain_shard(s, snap, begin, end);
-      if (workload_raw != nullptr || row3 != nullptr) {
-        // Feature-major staging, batch as the unit-stride axis. Pad
-        // columns are zeroed here (SoC row included) and never rewritten
-        // by the per-tick SoC refresh below.
-        // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
-        s.input.resize(4, std::max(count, nn::kColumnsMinBatch));
-        for (std::size_t i = 0; i < count; ++i) {
-          const double* row = workload_raw != nullptr
-                                  ? &workload_raw->data()[3 * (begin + i)]
-                                  : row3;
-          s.input(1, i) = static_cast<T>(row[0]);
-          s.input(2, i) = static_cast<T>(row[1]);
-          s.input(3, i) = static_cast<T>(row[2]);
-        }
-        nn::zero_pad_columns(s.input, count);
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        s.input(0, i) = static_cast<T>(soc_[begin + i]);
-      }
-      apply_overrides(s, begin, count);
-      forward_shard(s, snap, begin, count);
-      advance_physics(begin, end, workload_raw, shared_row_);
-    });
+SOCPINN_HOT void FleetEngine::run_tick(const double* rows,
+                                       std::size_t stride) {
+  for_each_shard(num_cells(), [&]<typename T>(
+                                  const core::TwoBranchSnapshotT<T>& snap,
+                                  ShardScratch<T>& s, std::size_t begin,
+                                  std::size_t end) {
+    const util::RoleGuard shard_scope(shard_exec_);
+    // Drain before staging: a drained sensor report must seed this
+    // tick's Branch-2 SoC input, and a drained override must replace
+    // this tick's workload row.
+    drain_shard(s, snap, begin, end);
+    // Feature-major staging, batch as the unit-stride axis.
+    const std::size_t count = end - begin;
+    // SOCPINN_HOT_ALLOW(resize): warm capacity, shard shape fixed per engine
+    s.input.resize(4, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const WorkloadOverride w = workload_of(begin + i, rows, stride);
+      s.input(0, i) = static_cast<T>(soc_[begin + i]);
+      s.input(1, i) = static_cast<T>(w.avg_current);
+      s.input(2, i) = static_cast<T>(w.avg_temp_c);
+      s.input(3, i) = static_cast<T>(w.horizon_s);
+    }
+    // Physics-only cells ride the batched forward (their columns are
+    // computed and discarded — per-column independence makes that free)
+    // but keep their prior SoC here: advance_physics reads it right after
+    // this, and Eq. 1 must see the true f64 state, not an NN output.
+    const nn::MatrixT<T>& pred = snap.predict_columns(s.input, s.ws);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (cell_mode_[begin + i] != 0) continue;
+      const double raw = static_cast<double>(pred(0, i));
+      soc_[begin + i] = config_.clamp_soc ? util::clamp01(raw) : raw;
+    }
+    advance_physics(begin, end, rows, stride);
   });
   ++ticks_;
 }
 
 void FleetEngine::run(double avg_current, double avg_temp_c, double horizon_s,
                       std::size_t ticks) {
-  if (ticks == 0) return;
   const util::RoleGuard tick(tick_serial_);
   const double row[3] = {avg_current, avg_temp_c, horizon_s};
-  run_tick(nullptr, row);  // stages the shared workload row once per shard
-  for (std::size_t t = 1; t < ticks; ++t) run_tick(nullptr, nullptr);
+  for (std::size_t t = 0; t < ticks; ++t) run_tick(row, 0);
 }
 
 void FleetEngine::run(const data::WorkloadSchedule& schedule) {
@@ -474,7 +377,7 @@ void FleetEngine::run(const data::WorkloadSchedule& schedule) {
   for (std::size_t w = 0; w < schedule.num_steps(); ++w) {
     const double row[3] = {schedule.workload(w, 0), schedule.workload(w, 1),
                            schedule.workload(w, 2)};
-    run_tick(nullptr, row);
+    run_tick(row, 0);
   }
 }
 

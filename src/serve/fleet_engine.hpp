@@ -41,35 +41,35 @@
 ///     serve::is_finite in mailbox.hpp is the policy, shared with the
 ///     synchronous reseed and the RolloutEngine re-anchor plans).
 ///   * The model is held as an atomically swappable shared_ptr to an
-///     immutable core::TwoBranchSnapshot (RCU-style). swap_model()
-///     converts once off the hot path and publishes between ticks:
-///     every tick acquires the pointer exactly once at its top, so all
-///     shards of a tick serve the same model, in-flight ticks finish on
-///     the snapshot they started with (kept alive by that reference), and
-///     no tick is ever dropped or torn. The engine converts the net at
+///     immutable core::TwoBranchSnapshot (RCU-style, see engine_shell.hpp).
+///     swap_model() converts once off the hot path and publishes between
+///     ticks: every tick acquires the pointer exactly once at its top, so
+///     all shards of a tick serve the same model, in-flight ticks finish
+///     on the snapshot they started with (kept alive by that reference),
+///     and no tick is ever dropped or torn. The engine converts the net at
 ///     construction, so the caller's net may be retrained or freed
 ///     immediately.
 ///
-/// Every batched forward runs the snapshot's TwoBranchSnapshotT<T> over
-/// one feature-major panel layout (batch as the unit-stride axis), padded
-/// with zero columns up to the 32-column tile (nn::kColumnsMinBatch) on
-/// thin shards and re-anchor batches, and column-blocked on shards wider
-/// than nn::kColumnsBlock. Per-column results are independent of the batch
-/// width, so neither padding nor blocking changes anything but speed.
+/// Every tick has one body: step() stages each cell's own workload row,
+/// run() restages its one shared row for every cell on every tick, and
+/// both feed one feature-major panel per shard (batch as the unit-stride
+/// axis) of exactly the shard's cells to the snapshot's
+/// TwoBranchSnapshotT<T>. Re-anchor batches stage exactly their pending
+/// cells. Padding a thin panel to the vectorized tile and blocking a wide
+/// one are the forward's job (nn::forward_blocked); per-column results are
+/// independent of the batch width, so neither changes anything but speed.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "core/cell_params.hpp"
 #include "core/net_snapshot.hpp"
 #include "core/two_branch_net.hpp"
 #include "data/windowing.hpp"
+#include "serve/engine_shell.hpp"
 #include "serve/mailbox.hpp"
-#include "serve/thread_pool.hpp"
 #include "util/sync.hpp"
 
 namespace socpinn::serve {
@@ -120,7 +120,22 @@ struct FleetConfig {
   core::CellParams default_params{};
 };
 
-class FleetEngine {
+namespace detail {
+
+/// FleetEngine's per-shard scratch at the served scalar type T: workspace
+/// plus the staged feature-major input panel. A tick drains before it
+/// stages, so the Branch-1 re-seed and the Branch-2 forward share `input`.
+template <typename T>
+struct FleetShardScratch {
+  core::InferenceWorkspaceT<T> ws;
+  nn::MatrixT<T> input;  ///< 3 x pending re-seed, then 4 x shard cells
+  std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
+  std::vector<SensorReport> reports;  ///< their drained payloads
+};
+
+}  // namespace detail
+
+class FleetEngine : public EngineShell<detail::FleetShardScratch> {
  public:
   /// Converts `net` once into a snapshot at FleetConfig::precision — the
   /// caller's net does NOT need to outlive the engine and may keep
@@ -165,10 +180,10 @@ class FleetEngine {
   void step(const nn::Matrix& workload_raw);
 
   /// Convenience: `ticks` steps under one shared workload row
-  /// (avg current, avg temp, horizon_s) applied to every cell. The shared
-  /// row is staged into each shard's scratch once, before the tick loop;
-  /// only the SoC column is rewritten per tick. Each tick still drains
-  /// the mailbox (overrides replace the staged row for their cells).
+  /// (avg current, avg temp, horizon_s) applied to every cell — the tick
+  /// body of step() with that row restaged for every cell on every tick.
+  /// Each tick drains the mailbox (overrides replace the row for their
+  /// cells).
   void run(double avg_current, double avg_temp_c, double horizon_s,
            std::size_t ticks);
 
@@ -177,22 +192,6 @@ class FleetEngine {
   /// row w to every cell. This is the seam serving shares with the Fig. 5
   /// evaluation (see serve::RolloutEngine for per-lane schedules).
   void run(const data::WorkloadSchedule& schedule);
-
-  /// RCU-style model hot-swap: snapshots `net` on the calling thread (the
-  /// expensive part — the conversion) and atomically publishes it. Ticks
-  /// already in flight finish on the old snapshot; the next tick serves
-  /// the new one. Safe to call from any thread, concurrently with ticks.
-  void swap_model(const core::TwoBranchNet& net);
-
-  /// Hot-swap to a pre-built snapshot (shareable across engines, so a
-  /// fleet of engines converts a retrained model once). The snapshot's
-  /// precision must match FleetConfig::precision.
-  void swap_model(std::shared_ptr<const core::TwoBranchSnapshot> snapshot);
-
-  /// The currently published model snapshot.
-  [[nodiscard]] std::shared_ptr<const core::TwoBranchSnapshot> model() const {
-    return model_.load();
-  }
 
   /// The engine's ingest mailbox. Producers publish per-cell sensor
   /// reports / workload overrides from any thread (one producer per cell);
@@ -268,58 +267,33 @@ class FleetEngine {
 
   [[nodiscard]] std::span<const double> soc() const { return soc_; }
   [[nodiscard]] std::size_t num_cells() const { return soc_.size(); }
-  [[nodiscard]] std::size_t num_threads() const { return pool_.size(); }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  /// The panel-kernel ISA every forward of this process dispatches to
-  /// ("scalar", "avx2", "avx512", or "neon" — nn/panel_dispatch.hpp:
-  /// detection order AVX-512 > AVX2 > NEON > scalar, overridable via
-  /// SOCPINN_FORCE_ISA). Dispatch never changes results — every ISA's f64
-  /// kernel is bitwise identical to the scalar reference — so this is a
-  /// reporting surface for dashboards and bench logs, not a knob.
-  [[nodiscard]] const char* simd_isa() const;
-
  private:
-  /// Per-shard scratch at the served scalar type T: workspace plus the
-  /// staged feature-major input panels, each padded to the panel tile.
   template <typename T>
-  struct ShardScratch {
-    core::InferenceWorkspaceT<T> ws;
-    nn::MatrixT<T> input;  ///< staged Branch-2 panel, 4 x padded count
-    // Mailbox-drain staging, separate from `input` so a re-seed never
-    // clobbers the persisted run() workload rows.
-    std::vector<std::size_t> pending;   ///< cells with a fresh sensor report
-    std::vector<SensorReport> reports;  ///< their drained payloads
-    nn::MatrixT<T> sensor_input;        ///< staged Branch-1 re-seed panel
-  };
-  /// One ShardScratch per pool thread, at the engine's precision.
-  template <typename T>
-  using Scratch = std::vector<ShardScratch<T>>;
-  using ScratchSet = std::variant<Scratch<double>, Scratch<float>>;
+  using ShardScratch = detail::FleetShardScratch<T>;
 
-  /// Throws on invalid arguments (empty fleet; an untrained net). Runs in
-  /// the first member's initializer, before the thread pool spawns
-  /// workers or any state allocates.
-  static FleetConfig validated(const core::TwoBranchNet& net,
-                               std::size_t num_cells, FleetConfig config);
+  /// Throws on invalid arguments (empty fleet, invalid default params).
+  /// Runs in the shell's initializer, before the net is checked and
+  /// converted, the thread pool spawns workers, or any state allocates.
+  static const FleetConfig& validated(std::size_t num_cells,
+                                      const FleetConfig& config);
 
-  /// Calls body(snapshot, scratch) with the published model's
-  /// TwoBranchSnapshotT<T> and the ShardScratch<T> set of the same T —
-  /// the one precision branch of every tick-path entry point.
-  template <typename Body>
-  void dispatch(const core::TwoBranchSnapshot& model, Body&& body) {
-    model.visit([&]<typename T>(const core::TwoBranchSnapshotT<T>& snap) {
-      body(snap, std::get<Scratch<T>>(scratch_));
-    });
-  }
-
-  /// One tick against per-shard staged Branch-2 inputs: the single body
-  /// behind step() and run(). The workload rows come from `workload_raw`
-  /// row `cell` (step()) or the shared `row3` [avg I, avg T, N] for every
-  /// cell; with both null, the rows staged by the previous call are reused
-  /// (the run() fast path — only the SoC row is rewritten).
-  void run_tick(const nn::Matrix* workload_raw, const double* row3)
+  /// One tick: the single body behind step() and both run()s. Cell c's
+  /// workload row [avg I, avg T, N] is `rows + c * stride` — step()'s
+  /// matrix at stride 3, or run()'s one shared row at stride 0 — unless
+  /// the cell has an active workload override.
+  void run_tick(const double* rows, std::size_t stride)
       SOCPINN_REQUIRES(tick_serial_);
+
+  /// The workload `cell` advances under this tick: its active override,
+  /// else its row of run_tick()'s `rows`. Staging and Eq. 1 both read it,
+  /// always in f64, so physics cells advance in full precision under
+  /// both engine precisions (matching RolloutEngine's physics lanes).
+  [[nodiscard]] WorkloadOverride workload_of(std::size_t cell,
+                                             const double* rows,
+                                             std::size_t stride) const
+      SOCPINN_REQUIRES(shard_exec_);
 
   /// Drains this shard's cell range of the mailbox: consumes workload
   /// overrides into the per-cell override table, then re-seeds every cell
@@ -341,32 +315,12 @@ class FleetEngine {
                       const core::TwoBranchSnapshotT<T>& model)
       SOCPINN_REQUIRES(shard_exec_);
 
-  /// Rewrites the staged workload slots of every override-active cell in
-  /// [begin, begin+count) — after any staging, before the forward, every
-  /// tick, so overrides survive both restaging and the run() fast path.
-  template <typename T>
-  void apply_overrides(ShardScratch<T>& scratch, std::size_t begin,
-                       std::size_t count) SOCPINN_REQUIRES(shard_exec_);
-
   /// Advances every CellMode::kPhysicsOnly cell of [begin, end) with
-  /// Eq. 1 from its own params — after the shard's NN forward (whose
-  /// write-back skips physics cells, so the prior SoC is still intact
-  /// here). The workload comes from the cell's active override when set,
-  /// else from `workload_raw` row `cell` (step()) or the shared `row3`
-  /// (run()) — always the raw f64 source, never the staged panel, so
-  /// physics advances in full precision under both engine precisions
-  /// (matching RolloutEngine's physics lanes).
+  /// Eq. 1 from its own params and workload_of() — after the shard's NN
+  /// forward (whose write-back skips physics cells, so the prior SoC is
+  /// still intact here).
   void advance_physics(std::size_t begin, std::size_t end,
-                       const nn::Matrix* workload_raw, const double* row3)
-      SOCPINN_REQUIRES(shard_exec_);
-
-  /// Per-shard forward + clamped write-back of run_tick():
-  /// `scratch.input` holds the shard's staged feature-major Branch-2
-  /// panel (4 x count, zero-padded to the panel tile).
-  template <typename T>
-  void forward_shard(ShardScratch<T>& scratch,
-                     const core::TwoBranchSnapshotT<T>& model,
-                     std::size_t begin, std::size_t count)
+                       const double* rows, std::size_t stride)
       SOCPINN_REQUIRES(shard_exec_);
 
   /// Owning mailbox or a view over FleetConfig::external_mailbox_slots,
@@ -387,13 +341,7 @@ class FleetEngine {
   util::ThreadRole tick_serial_;
   util::ThreadRole shard_exec_;
 
-  FleetConfig config_;  ///< initialized via validated(): throws first
-  /// RCU publication point: ticks acquire exactly once at their top,
-  /// swap_model stores. Snapshots are immutable; old ones die when the
-  /// last in-flight tick drops its reference.
-  core::SnapshotHandle model_;
-  ThreadPool pool_;
-  ScratchSet scratch_;
+  FleetConfig config_;
   std::vector<double> soc_;
   Mailbox mailbox_;
   /// Sticky per-cell workload overrides consumed from the mailbox. Each
@@ -415,10 +363,6 @@ class FleetEngine {
   std::atomic<std::uint64_t> dropped_sensor_reports_{0};
   std::atomic<std::uint64_t> dropped_workload_overrides_{0};
   std::atomic<std::uint64_t> dropped_param_updates_{0};
-  /// The persisted shared workload row of the run() fast path — the f64
-  /// source advance_physics reads when run_tick() reuses staged rows
-  /// (an f32 staged panel would lose bits).
-  double shared_row_[3] = {0.0, 0.0, 0.0};
   std::uint64_t ticks_ = 0;
 };
 

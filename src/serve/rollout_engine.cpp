@@ -1,11 +1,8 @@
 #include "serve/rollout_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "nn/panel_dispatch.hpp"
 #include "serve/mailbox.hpp"
 #include "util/annotations.hpp"
 #include "util/math.hpp"
@@ -53,52 +50,11 @@ void validate_plan(std::size_t lane_index, const RolloutLane& lane) {
 
 }  // namespace
 
-RolloutConfig RolloutEngine::validated(const core::TwoBranchNet& net,
-                                       RolloutConfig config) {
-  // Runs before the thread pool spawns workers: a bad argument must not
-  // cost thread creation.
-  core::require_trained(net, "RolloutEngine: RolloutConfig::precision");
-  // Force the panel-kernel ISA resolution now: a bad SOCPINN_FORCE_ISA
-  // value throws std::invalid_argument here, on the caller's thread,
-  // instead of from the first run's forward inside a pool worker.
-  (void)nn::simd::active_isa();
-  return config;
-}
-
-const char* RolloutEngine::simd_isa() const {
-  return nn::simd::isa_name(nn::simd::active_isa());
-}
-
 RolloutEngine::RolloutEngine(const core::TwoBranchNet& net,
                              RolloutConfig config)
-    : config_(validated(net, config)),
-      // Weights and scaler stats are converted exactly once, off the hot
-      // path; every run serves the immutable snapshot published here or
-      // by a later swap_model().
-      model_(std::make_shared<const core::TwoBranchSnapshot>(
-          net, config.precision)),
-      pool_(config.threads),
-      scratch_(config.precision == core::Precision::kFloat32
-                   ? ScratchSet(Scratch<float>(pool_.size()))
-                   : ScratchSet(Scratch<double>(pool_.size()))) {}
-
-void RolloutEngine::swap_model(const core::TwoBranchNet& net) {
-  swap_model(std::make_shared<const core::TwoBranchSnapshot>(
-      net, config_.precision));
-}
-
-void RolloutEngine::swap_model(
-    std::shared_ptr<const core::TwoBranchSnapshot> snapshot) {
-  if (snapshot == nullptr) {
-    throw std::invalid_argument("RolloutEngine::swap_model: null snapshot");
-  }
-  if (snapshot->precision() != config_.precision) {
-    throw std::invalid_argument(
-        "RolloutEngine::swap_model: snapshot precision does not match "
-        "RolloutConfig::precision");
-  }
-  model_.store(std::move(snapshot));
-}
+    : EngineShell(net, config.precision, config.threads, "RolloutEngine",
+                  "RolloutConfig"),
+      config_(config) {}
 
 std::vector<core::Rollout> RolloutEngine::run(
     std::span<const RolloutLane> lanes) {
@@ -154,18 +110,15 @@ void RolloutEngine::run_into(std::span<const RolloutLane> lanes,
 
   // One acquire per run: every shard and step of this run serves the same
   // snapshot, and a concurrent swap_model lands on the next run whole.
-  const std::shared_ptr<const core::TwoBranchSnapshot> model =
-      model_.load();
-  model->visit([&]<typename T>(const core::TwoBranchSnapshotT<T>& snap) {
-    Scratch<T>& scratch = std::get<Scratch<T>>(scratch_);
-    pool_.parallel_for(lanes.size(), [&](std::size_t shard, std::size_t begin,
-                                         std::size_t end) {
-      // Lambdas are analyzed as separate functions with an empty lockset,
-      // so each pool job enters the shard-execution role itself before
-      // touching the REQUIRES(shard_exec_) body.
-      const util::RoleGuard shard_scope(shard_exec_);
-      roll_shard(snap, scratch[shard], lanes, out, begin, end);
-    });
+  for_each_shard(lanes.size(), [&]<typename T>(
+                                   const core::TwoBranchSnapshotT<T>& snap,
+                                   ShardScratch<T>& s, std::size_t begin,
+                                   std::size_t end) {
+    // Lambdas are analyzed as separate functions with an empty lockset,
+    // so each pool job enters the shard-execution role itself before
+    // touching the REQUIRES(shard_exec_) body.
+    const util::RoleGuard shard_scope(shard_exec_);
+    roll_shard(snap, s, lanes, out, begin, end);
   });
 }
 
@@ -182,14 +135,13 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
   // Seed: one batched Branch-1 estimate over the shard's lanes —
   // the only time voltage is consumed (Fig. 2 discipline).
   // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-  s.input.resize(3, std::max(count, nn::kColumnsMinBatch));
+  s.input.resize(3, count);
   for (std::size_t i = 0; i < count; ++i) {
     const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
     s.input(0, i) = static_cast<T>(sched.voltage0);
     s.input(1, i) = static_cast<T>(sched.current0);
     s.input(2, i) = static_cast<T>(sched.temp0);
   }
-  nn::zero_pad_columns(s.input, count);
   const nn::MatrixT<T>& est = model.estimate_columns(s.input, s.ws);
   // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
   s.soc.resize(count);
@@ -250,18 +202,16 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
     // trajectory's last entry is the point at times_s[step].
     if (const std::size_t n = s.pending.size(); n > 0) {
       // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.sensor_input.resize(3, std::max(n, nn::kColumnsMinBatch));
+      s.input.resize(3, n);
       for (std::size_t g = 0; g < n; ++g) {
         const std::size_t i = s.pending[g];
         const data::ReanchorPlan& plan = *lanes[begin + i].reanchor;
         const std::size_t row = s.plan_pos[i] - 1;
-        s.sensor_input(0, g) = static_cast<T>(plan.sensors(row, 0));
-        s.sensor_input(1, g) = static_cast<T>(plan.sensors(row, 1));
-        s.sensor_input(2, g) = static_cast<T>(plan.sensors(row, 2));
+        s.input(0, g) = static_cast<T>(plan.sensors(row, 0));
+        s.input(1, g) = static_cast<T>(plan.sensors(row, 1));
+        s.input(2, g) = static_cast<T>(plan.sensors(row, 2));
       }
-      nn::zero_pad_columns(s.sensor_input, n);
-      const nn::MatrixT<T>& fresh =
-          model.estimate_columns(s.sensor_input, s.ws);
+      const nn::MatrixT<T>& fresh = model.estimate_columns(s.input, s.ws);
       for (std::size_t g = 0; g < n; ++g) {
         const std::size_t i = s.pending[g];
         const double raw = static_cast<double>(fresh(0, g));
@@ -275,7 +225,7 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
       // Gather straight into the feature-major panel: batch is the
       // unit-stride axis, no transpose round-trip per step.
       // SOCPINN_HOT_ALLOW(resize): warm scratch capacity, shard shape fixed
-      s.input.resize(4, std::max(active, nn::kColumnsMinBatch));
+      s.input.resize(4, active);
       for (std::size_t g = 0; g < active; ++g) {
         const std::size_t i = s.gather[g];
         const data::WorkloadSchedule& sched = *lanes[begin + i].schedule;
@@ -284,7 +234,6 @@ SOCPINN_HOT void RolloutEngine::roll_shard(
         s.input(2, g) = static_cast<T>(sched.workload(step, 1));
         s.input(3, g) = static_cast<T>(sched.workload(step, 2));
       }
-      nn::zero_pad_columns(s.input, active);
       const nn::MatrixT<T>& pred = model.predict_columns(s.input, s.ws);
       for (std::size_t g = 0; g < active; ++g) {
         const std::size_t i = s.gather[g];

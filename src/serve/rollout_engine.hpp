@@ -9,12 +9,13 @@
 /// of a shard are seeded with one batched Branch-1 estimate, and each step
 /// advances every still-active lane of the shard with one batched Branch-2
 /// forward. Every forward runs the snapshot's TwoBranchSnapshotT<T> over
-/// one feature-major panel layout, padded with zero columns up to the
-/// 32-column tile (nn::kColumnsMinBatch) once retirements thin the batch;
-/// per-column results are independent of the batch width, so padding
-/// changes nothing but speed. Lanes are sharded contiguously across the
-/// existing ThreadPool with a per-shard workspace, so the shared
-/// snapshot is only ever read.
+/// one feature-major panel of exactly the gathered lanes; once
+/// retirements thin the batch below the vectorized tile, the forward pads
+/// it (nn::forward_blocked), and per-column results are independent of
+/// the batch width, so padding changes nothing but speed. Lanes are
+/// sharded contiguously across the pool of the shared engine shell
+/// (engine_shell.hpp) with a per-shard workspace, so the shared snapshot
+/// is only ever read.
 ///
 /// Ragged fleets (traces of different lengths) are handled with an
 /// active-lane mask: a lane retires the step its schedule runs out, the
@@ -43,9 +44,7 @@
 /// count, and re-anchor steps stay allocation-free once warm. Open-loop,
 /// closed-loop, and physics-only lanes mix freely in one pass.
 
-#include <memory>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "core/cell_params.hpp"
@@ -53,7 +52,7 @@
 #include "core/predictor.hpp"
 #include "core/two_branch_net.hpp"
 #include "data/windowing.hpp"
-#include "serve/thread_pool.hpp"
+#include "serve/engine_shell.hpp"
 #include "util/sync.hpp"
 
 namespace socpinn::serve {
@@ -104,31 +103,34 @@ struct RolloutConfig {
   core::Precision precision = core::Precision::kFloat64;
 };
 
-class RolloutEngine {
+namespace detail {
+
+/// RolloutEngine's per-shard scratch at the served scalar type T:
+/// workspace, gather staging, and per-lane SoC state.
+template <typename T>
+struct RolloutShardScratch {
+  core::InferenceWorkspaceT<T> ws;
+  /// Staged panel: the seed, then per step the Branch-1 re-anchor batch
+  /// before the Branch-2 gather of active lanes.
+  nn::MatrixT<T> input;
+  std::vector<double> soc;          ///< current SoC per local lane
+  std::vector<std::size_t> gather;  ///< local lane index per gathered column
+  std::vector<std::size_t> plan_pos;  ///< next plan entry per local lane
+  std::vector<std::size_t> pending;   ///< local lanes re-anchoring now
+};
+
+}  // namespace detail
+
+class RolloutEngine : public EngineShell<detail::RolloutShardScratch> {
  public:
   /// Converts `net` once into a snapshot at RolloutConfig::precision —
   /// the caller's net does NOT need to outlive the engine and may keep
   /// training. Arguments (including the trained-net precondition) are
-  /// validated before the thread pool spawns workers.
+  /// validated before the thread pool spawns workers. swap_model() (see
+  /// EngineShell) publishes a new model between runs: a run_into in
+  /// flight finishes on the snapshot it acquired at its top.
   explicit RolloutEngine(const core::TwoBranchNet& net,
                          RolloutConfig config = {});
-
-  /// RCU-style model hot-swap: snapshots `net` on the calling thread and
-  /// atomically publishes it. A run_into already in flight finishes on the
-  /// old snapshot (a run acquires the model exactly once, at its top, so
-  /// every shard and step of one run serves the same model); the next run
-  /// serves the new one. Safe to call from any thread, concurrently with
-  /// runs.
-  void swap_model(const core::TwoBranchNet& net);
-
-  /// Hot-swap to a pre-built snapshot (shareable across engines). The
-  /// snapshot's precision must match RolloutConfig::precision.
-  void swap_model(std::shared_ptr<const core::TwoBranchSnapshot> snapshot);
-
-  /// The currently published model snapshot.
-  [[nodiscard]] std::shared_ptr<const core::TwoBranchSnapshot> model() const {
-    return model_.load();
-  }
 
   /// Rolls every lane to the end of its schedule in one lockstep pass.
   /// Returns one trajectory per lane, in lane order.
@@ -146,10 +148,6 @@ class RolloutEngine {
   void run_into(std::span<const RolloutLane> lanes,
                 std::span<core::Rollout> out);
 
-  /// The panel-kernel ISA every forward of this process dispatches to —
-  /// same reporting surface as FleetEngine::simd_isa().
-  [[nodiscard]] const char* simd_isa() const;
-
   /// Batch-of-1 convenience backing the legacy core:: wrappers. Pass a
   /// plan for a closed-loop single-trace rollout (core::rollout_closed_loop
   /// routes through this).
@@ -159,34 +157,11 @@ class RolloutEngine {
       const core::CellParams& params = {.capacity_ah = 0.0},
       const data::ReanchorPlan* reanchor = nullptr);
 
-  [[nodiscard]] std::size_t num_threads() const { return pool_.size(); }
   [[nodiscard]] const RolloutConfig& config() const { return config_; }
 
  private:
-  /// Per-shard scratch at the served scalar type T: workspace, gather
-  /// staging, and per-lane SoC state.
   template <typename T>
-  struct ShardScratch {
-    core::InferenceWorkspaceT<T> ws;
-    nn::MatrixT<T> input;            ///< gathered panel of active lanes
-    std::vector<double> soc;         ///< current SoC per local lane
-    std::vector<std::size_t> gather; ///< local lane index per gathered column
-    // Re-anchor staging, separate from `input` so a closed-loop Branch-1
-    // batch never clobbers the step's Branch-2 gather (mirrors
-    // FleetEngine::ShardScratch's drain staging).
-    std::vector<std::size_t> plan_pos;  ///< next plan entry per local lane
-    std::vector<std::size_t> pending;   ///< local lanes re-anchoring now
-    nn::MatrixT<T> sensor_input;        ///< staged Branch-1 re-anchor panel
-  };
-  /// One ShardScratch per pool thread, at the engine's precision.
-  template <typename T>
-  using Scratch = std::vector<ShardScratch<T>>;
-  using ScratchSet = std::variant<Scratch<double>, Scratch<float>>;
-
-  /// Throws on invalid arguments (an untrained net). Runs in the first
-  /// member's initializer, before the thread pool spawns.
-  static RolloutConfig validated(const core::TwoBranchNet& net,
-                                 RolloutConfig config);
+  using ShardScratch = detail::RolloutShardScratch<T>;
 
   /// One shard of run_into: seeds, steps and retires lanes
   /// [begin, end) against the snapshot, in `s`.
@@ -202,13 +177,7 @@ class RolloutEngine {
   /// cannot silently grow callers outside the sharded run.
   util::ThreadRole shard_exec_;
 
-  RolloutConfig config_;  ///< initialized via validated(): throws first
-  /// RCU publication point: each run acquires exactly once at its top,
-  /// swap_model stores. Snapshots are immutable; old ones die when the
-  /// last in-flight run drops its reference.
-  core::SnapshotHandle model_;
-  ThreadPool pool_;
-  ScratchSet scratch_;
+  RolloutConfig config_;
 };
 
 }  // namespace socpinn::serve

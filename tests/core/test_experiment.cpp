@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/predictor.hpp"
 #include "core/test_helpers.hpp"
 
 namespace socpinn::core {
@@ -105,6 +106,24 @@ TEST(TrainTwoBranch, PhysicsOnlySkipsBranch2) {
   const TrainedModel model = train_two_branch(setup, spec, 1);
   EXPECT_FALSE(model.branch1_history.data_loss.empty());
   EXPECT_TRUE(model.branch2_history.data_loss.empty());
+}
+
+TEST(TrainTwoBranch, PhysicsOnlyModelServesAPhysicsRollout) {
+  // Fig. 5's Physics-Only line rolls through the serve engine, which
+  // requires both scalers fitted even though Branch 2 is never trained.
+  const ExperimentSetup setup = small_setup();
+  const VariantSpec spec{"Physics-Only", VariantKind::kPhysicsOnly, {}};
+  const TrainedModel model = train_two_branch(setup, spec, 1);
+  const data::Trace& trace = setup.test_traces.front();
+  const Rollout rollout =
+      rollout_physics_only(model.net, trace, 120.0, {.capacity_ah = 3.0});
+  ASSERT_GT(rollout.times_s.size(), 1u);
+  EXPECT_EQ(rollout.soc.size(), rollout.times_s.size());
+  EXPECT_EQ(rollout.truth.size(), rollout.times_s.size());
+  for (const double soc : rollout.soc) {
+    EXPECT_GE(soc, 0.0);
+    EXPECT_LE(soc, 1.0);
+  }
 }
 
 TEST(TrainTwoBranch, NoPinnHasNoPhysicsHistory) {

@@ -167,8 +167,9 @@ TEST(AllocFree, FleetTickSteadyStateAllocatesNothing) {
 }
 
 TEST(AllocFree, FleetRunStagesOnceAndAllocatesNothing) {
-  // run() stages the shared workload row once per shard; after the warm-up
-  // call, whole run() invocations must be allocation-free.
+  // run() restages the shared workload row on every tick into warm
+  // scratch; after the warm-up call, whole run() invocations must be
+  // allocation-free.
   const core::TwoBranchNet net = testing::make_fitted_net(21);
   FleetConfig config;
   config.threads = 2;

@@ -151,9 +151,9 @@ TEST(FleetEngine, ValidatesShapes) {
 }
 
 TEST(FleetEngine, RunMatchesExplicitSteps) {
-  // run() stages the shared row once and then rewrites only the SoC
-  // column; it must be bitwise identical to building the full workload
-  // matrix and calling step() per tick.
+  // run() restages its shared row every tick through step()'s tick body
+  // (one row read at stride 0); it must be bitwise identical to building
+  // the full workload matrix and calling step() per tick.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const std::size_t cells = 203;
   FleetConfig config;

@@ -245,8 +245,8 @@ TEST(LiveServing, SynchronousReseedRejectsNonFiniteSensors) {
 }
 
 TEST(LiveServing, WorkloadOverrideIsStickyAcrossRunFastPath) {
-  // A drained override replaces the staged row from its tick on — also on
-  // the run() fast path, where rows are staged once and persist.
+  // A drained override replaces the staged row from its tick on — also
+  // under run(), whose one shared row is restaged for every cell.
   const core::TwoBranchNet net = testing::make_fitted_net(9);
   const std::size_t cells = 10;
   FleetEngine engine(net, cells, {.threads = 2});

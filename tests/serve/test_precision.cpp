@@ -14,13 +14,16 @@
 ///    per-sample scalar reference bitwise, pinning the snapshot to it;
 ///  * the snapshot's column-blocked forward (nn::kColumnsBlock) is bitwise
 ///    the unblocked chain at every width, at both precisions, and keeps
-///    every layer panel block-sized.
+///    every layer panel block-sized;
+///  * the forward pads a panel thinner than nn::kColumnsMinBatch itself,
+///    so callers stage exactly their columns.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -161,6 +164,82 @@ TEST(SnapshotParity, ColumnBlockedForwardKeepsLayerPanelsBlockSized) {
   const core::TwoBranchNet net = testing::make_fitted_net(61);
   expect_block_sized_panels<double>(net);
   expect_block_sized_panels<float>(net);
+}
+
+/// `panel` with zero columns appended up to nn::kColumnsMinBatch, as a
+/// caller would pad it.
+template <typename T>
+nn::MatrixT<T> caller_padded(const nn::MatrixT<T>& panel) {
+  nn::MatrixT<T> padded(panel.rows(), nn::kColumnsMinBatch);
+  for (std::size_t f = 0; f < panel.rows(); ++f) {
+    for (std::size_t j = 0; j < panel.cols(); ++j) padded(f, j) = panel(f, j);
+  }
+  return padded;
+}
+
+/// Thin panels are padded by the forward itself: a caller stages exactly
+/// its n < nn::kColumnsMinBatch columns, every layer still runs the full
+/// tile width (the vectorized kernel, not its scalar remainder), and the
+/// n real results are those of the reference (f64) or of the caller-padded
+/// panel (f32, byte for byte).
+template <typename T>
+void expect_forward_pads_thin_panels(const core::TwoBranchNet& net) {
+  const core::TwoBranchSnapshotT<T> snapshot(net);
+  util::Rng rng(11);
+  core::InferenceWorkspace ref_ws;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{31}}) {
+    const nn::Matrix b2_rows = testing::random_branch2(n, rng);
+    const nn::Matrix sensors = random_sensors(n, rng);
+    core::InferenceWorkspaceT<T> ws;
+    // Copies: a result points into ws only until its branch runs again.
+    const nn::MatrixT<T> pred =
+        snapshot.predict_columns(to_panel<T>(b2_rows), ws);
+    const nn::MatrixT<T> est =
+        snapshot.estimate_columns(to_panel<T>(sensors), ws);
+    ASSERT_EQ(pred.cols(), n);
+    ASSERT_EQ(est.cols(), n);
+    const std::pair<const nn::Mlp*, nn::ForwardWorkspaceT<T>*> branches[] = {
+        {&net.branch1(), &ws.branch1}, {&net.branch2(), &ws.branch2}};
+    for (const auto& [mlp, fw] : branches) {
+      ASSERT_GE(fw->num_buffers(), mlp->num_layers());
+      for (std::size_t i = 0; i < mlp->num_layers(); ++i) {
+        EXPECT_EQ(fw->buffer(i).cols(), nn::kColumnsMinBatch)
+            << "width " << n << " layer " << i;
+      }
+    }
+
+    if constexpr (std::is_same_v<T, double>) {
+      const nn::Matrix& want2 =
+          net.predict_batch_columns(nn::transpose(b2_rows), ref_ws);
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(pred(0, j), want2(0, j)) << "width " << n << " b2 col " << j;
+      }
+      const nn::Matrix& want1 = net.estimate_batch(sensors, ref_ws);
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(est(0, j), want1(j, 0)) << "width " << n << " b1 col " << j;
+      }
+    } else {
+      core::InferenceWorkspaceT<T> pad_ws;
+      const nn::MatrixT<T>& want2 = snapshot.predict_columns(
+          caller_padded(to_panel<T>(b2_rows)), pad_ws);
+      EXPECT_EQ(std::memcmp(pred.data().data(), want2.data().data(),
+                            n * sizeof(T)),
+                0)
+          << "branch2 width " << n;
+      const nn::MatrixT<T>& want1 = snapshot.estimate_columns(
+          caller_padded(to_panel<T>(sensors)), pad_ws);
+      EXPECT_EQ(std::memcmp(est.data().data(), want1.data().data(),
+                            n * sizeof(T)),
+                0)
+          << "branch1 width " << n;
+    }
+  }
+}
+
+TEST(SnapshotParity, ForwardPadsThinPanelsToTheTile) {
+  const core::TwoBranchNet net = testing::make_fitted_net(61);
+  expect_forward_pads_thin_panels<double>(net);
+  expect_forward_pads_thin_panels<float>(net);
 }
 
 TEST(SnapshotParity, RequiresFittedScalers) {

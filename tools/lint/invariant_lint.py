@@ -73,6 +73,11 @@ Checks (names usable in waiver comments and reports):
                  dense-matrix class, and a second carrier with its own
                  aligned buffer would duplicate its storage, reshape and
                  allocation.
+  pad-policy     kColumnsMinBatch (the thin-panel pad tile) is named only
+                 in nn/panel.hpp and nn/panel.cpp: nn::forward_blocked
+                 pads a thin panel itself, so callers stage exactly their
+                 columns, and a second copy of the pad rule elsewhere
+                 would re-grow the staging it replaced.
 
 The linter is heuristic by design (stdlib-only Python, no C++ parser):
 it masks comments/strings, balances parentheses across lines, and
@@ -707,6 +712,22 @@ def check_aligned_storage(rel: str, text: str, masked: str) -> list[tuple]:
             for m in ALIGNED_STORAGE.finditer(masked)]
 
 
+# ---------------------------------------------------- check: pad-policy
+
+PAD_TILE = re.compile(r"\bkColumnsMinBatch\b")
+PAD_POLICY_OWNERS = frozenset((("nn", "panel.hpp"), ("nn", "panel.cpp")))
+
+
+def check_pad_policy(rel: str, text: str, masked: str) -> list[tuple]:
+    if tuple(Path(rel).parts[-2:]) in PAD_POLICY_OWNERS:
+        return []
+    return [(rel, line_of(masked, m.start()), "pad-policy",
+             "kColumnsMinBatch outside nn/panel.hpp and nn/panel.cpp — "
+             "nn::forward_blocked pads thin panels itself; stage exactly "
+             "the batch's columns")
+            for m in PAD_TILE.finditer(masked)]
+
+
 # ---------------------------------------------------- check: fp-contract
 
 FMA_CALL = re.compile(r"\b(?:std\s*::\s*)?fma[fl]?\s*\(")
@@ -753,6 +774,7 @@ def lint_file(path: Path, root: Path) -> list[tuple]:
     findings += check_stale_waivers(rel, text, masked, comments)
     findings += check_fp_contract(rel, text, masked)
     findings += check_aligned_storage(rel, text, masked)
+    findings += check_pad_policy(rel, text, masked)
     return findings
 
 
@@ -785,7 +807,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(f"invariant_lint: clean ({len(files)} files, checks: "
           f"atomic-order seqlock-discipline seq-wake hot-alloc "
-          f"stale-waiver fp-contract aligned-storage)")
+          f"stale-waiver fp-contract aligned-storage pad-policy)")
     return 0
 
 

@@ -41,7 +41,7 @@ def expected_lines(path: Path) -> list[int]:
     """1-based line numbers tagged `// EXPECT <check>` in a fixture."""
     tag = re.compile(r"//\s*EXPECT\s+(?:atomic-order|hot-alloc|fp-contract"
                      r"|seqlock-discipline|stale-waiver|seq-wake"
-                     r"|aligned-storage)")
+                     r"|aligned-storage|pad-policy)")
     return [i for i, raw in enumerate(path.read_text().splitlines(), 1)
             if tag.search(raw)]
 
@@ -265,6 +265,35 @@ class TestAlignedStorage(unittest.TestCase):
         for other in ("nn/panel.hpp", "serve/matrix.hpp", "core/x.cpp"):
             self.assertTrue(
                 lint.check_aligned_storage(other, text, masked), other)
+
+
+class TestPadPolicy(unittest.TestCase):
+    FIXTURE = BAD / "serve" / "bad_pad_policy.cpp"
+
+    def findings(self):
+        return [f for f in run_dir(BAD) if f[2] == "pad-policy"]
+
+    def test_every_seeded_violation_is_flagged(self):
+        flagged = {f[1] for f in self.findings()
+                   if f[0].endswith("bad_pad_policy.cpp")}
+        self.assertEqual(flagged, set(expected_lines(self.FIXTURE)))
+        self.assertTrue(flagged)
+
+    def test_owner_and_mentions_pass(self):
+        clean = [f for f in run_dir(GOOD) if f[2] == "pad-policy"]
+        self.assertEqual(clean, [])
+        # Non-vacuous: the owner fixture does name the tile in code.
+        self.assertIn("kColumnsMinBatch = 32;",
+                      (GOOD / "nn" / "panel.hpp").read_text())
+
+    def test_owner_is_matched_by_directory_and_name(self):
+        text = "const auto w = nn::kColumnsMinBatch;\n"
+        masked, _ = lint.mask_comments_and_strings(text)
+        for owner in ("nn/panel.hpp", "nn/panel.cpp"):
+            self.assertEqual(lint.check_pad_policy(owner, text, masked), [])
+        for other in ("serve/fleet_engine.cpp", "core/panel.hpp",
+                      "nn/panel_kernels.hpp", "nn/matrix.hpp"):
+            self.assertTrue(lint.check_pad_policy(other, text, masked), other)
 
 
 class TestFpContract(unittest.TestCase):
